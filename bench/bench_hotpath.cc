@@ -5,8 +5,8 @@
 // quantity under test is the data plane's per-op CPU cost — directory
 // lookup, queue synchronization, message allocation, scheduler rotation —
 // not the modeled network. Each data-plane knob (CormConfig::dir_cache,
-// msg_pool, poll_batch, idle_park) can be toggled from the CLI, and the
-// default run flips each one off individually to attribute its share.
+// msg_pool, poll_batch) can be toggled from the CLI, and the default run
+// flips each one off individually to attribute its share.
 //
 // Output: a table on stdout plus BENCH_hotpath.json (schema in
 // EXPERIMENTS.md, "Hot path" section). --check=<floor.json> compares the
@@ -52,7 +52,6 @@ struct Toggles {
   bool dir_cache = true;
   bool msg_pool = true;
   size_t poll_batch = 16;
-  bool idle_park = true;
 };
 
 struct Workload {
@@ -109,7 +108,6 @@ Results Measure(const Workload& w, const Toggles& t, bool full_matrix) {
   cfg.dir_cache = t.dir_cache;
   cfg.msg_pool = t.msg_pool;
   cfg.poll_batch = t.poll_batch;
-  cfg.idle_park = t.idle_park;
   CormNode node(cfg);
   auto addrs = node.BulkAlloc(w.objects, w.payload);
   CORM_CHECK(addrs.ok());
@@ -157,7 +155,6 @@ int main(int argc, char** argv) {
   full.dir_cache = FlagU64(argc, argv, "dir_cache", 1) != 0;
   full.msg_pool = FlagU64(argc, argv, "msg_pool", 1) != 0;
   full.poll_batch = FlagU64(argc, argv, "poll_batch", 16);
-  full.idle_park = FlagU64(argc, argv, "idle_park", 1) != 0;
   const bool attrib = FlagU64(argc, argv, "attrib", 1) != 0;
   const std::string json_path =
       FlagStr(argc, argv, "json", "BENCH_hotpath.json");
@@ -175,9 +172,8 @@ int main(int argc, char** argv) {
   PrintRow({"mixed 50/50 N clients", Fmt("%.0f", r.mixed_nt)}, 26);
 
   // Attribution: flip each toggle off in isolation, re-measure the
-  // single-client read rate. What each knob buys depends on the host — on
-  // few-core machines idle_park dominates; with many cores the cache and
-  // pool show up instead.
+  // single-client read rate. What each knob buys depends on the host; with
+  // many cores the cache and pool show up most.
   struct Attrib {
     const char* key;
     double read_1t;
@@ -193,7 +189,6 @@ int main(int argc, char** argv) {
         {"dir_cache", [&] { Toggles t = full; t.dir_cache = false; return t; }()},
         {"msg_pool", [&] { Toggles t = full; t.msg_pool = false; return t; }()},
         {"poll_batch", [&] { Toggles t = full; t.poll_batch = 1; return t; }()},
-        {"idle_park", [&] { Toggles t = full; t.idle_park = false; return t; }()},
     };
     for (const auto& v : variants) {
       const Results rv = Measure(w, v.t, /*full_matrix=*/false);
@@ -214,8 +209,7 @@ int main(int argc, char** argv) {
         << "},\n";
     out << "  \"toggles\": {\"dir_cache\": " << (full.dir_cache ? 1 : 0)
         << ", \"msg_pool\": " << (full.msg_pool ? 1 : 0)
-        << ", \"poll_batch\": " << full.poll_batch
-        << ", \"idle_park\": " << (full.idle_park ? 1 : 0) << "},\n";
+        << ", \"poll_batch\": " << full.poll_batch << "},\n";
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "  \"results\": {\"read_1t\": %.0f, \"read_nt\": %.0f, "
@@ -235,6 +229,9 @@ int main(int argc, char** argv) {
         << ", \"rpc_batches\": " << r.counters.rpc_batches
         << ", \"rpc_polled\": " << r.counters.rpc_polled
         << ", \"id_draw_fallbacks\": " << r.counters.id_draw_fallbacks
+        << ", \"worker_parks\": " << r.counters.worker_parks
+        << ", \"worker_park_wakes\": " << r.counters.worker_park_wakes
+        << ", \"worker_park_timeouts\": " << r.counters.worker_park_timeouts
         << "},\n";
     // The pre-overhaul numbers on the reference host (single-CPU VM, same
     // workload defaults), kept for before/after context in the artifact.

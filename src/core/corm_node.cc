@@ -42,6 +42,11 @@ CormNode::CormNode(CormConfig config)
   block_allocator_ = std::make_unique<alloc::BlockAllocator>(
       space_.get(), files_.get(), rnic_.get(), &classes_, ba_config);
   rpc_queue_.rate_limiter()->SetRate(config_.nic_msg_rate);
+  // WRITE_WITH_IMM receive path: a shipped log record's immediate is its
+  // ingress ring id, so the record wakes the worker that drains that ring.
+  rnic_->SetImmHandler([this](uint32_t ring) {
+    rpc_queue_.doorbell(static_cast<int>(ring % config_.num_workers))->Ring();
+  });
 
   // Sync-lock table (DESIGN.md §12): epoch word + one lock word per slot,
   // mapped fresh (all-zero: epoch 0, every slot free) and registered ODP
@@ -112,6 +117,7 @@ CormNode::~CormNode() {
     sched_running_ = false;
   }
   stop_.store(true, std::memory_order_relaxed);
+  rpc_queue_.RingAll();  // parked workers re-check stop_ now
   for (auto& t : threads_) t.join();
   threads_.clear();
   // Sync-lock table teardown (after every thread that could touch it has
@@ -317,6 +323,9 @@ NodeStats CormNode::stats() const {
     out.dir_cache_misses += s.dir_cache_misses.Load();
     out.rpc_batches += s.rpc_batches.Load();
     out.rpc_polled += s.rpc_polled.Load();
+    out.worker_parks += s.worker_parks.Load();
+    out.worker_park_wakes += s.worker_park_wakes.Load();
+    out.worker_park_timeouts += s.worker_park_timeouts.Load();
     out.compaction_slices += s.compaction_slices.Load();
     out.compaction_phase_transitions += s.compaction_phase_transitions.Load();
     out.compaction_planner_rejections +=

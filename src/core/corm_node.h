@@ -127,13 +127,6 @@ struct CormConfig {
   size_t poll_batch = 16;
   // Directory shards (rounded up to a power of two).
   size_t dir_shards = 16;
-  // Idle workers escalate from yields to short sleeps after a dry spell, so
-  // on an oversubscribed host the scheduler rotation shrinks to the threads
-  // that actually have work (a parked worker wakes within ~1 ms, and awake
-  // siblings steal from its ring meanwhile; busy workers never park).
-  // Biggest single lever on few-core hosts, where an all-workers yield
-  // rotation otherwise taxes every RPC round trip.
-  bool idle_park = true;
 
   // --- Remote synchronization & doorbell batching (DESIGN.md §12). -------
   // Client read/write synchronization scheme (the §12 shootout knob):
@@ -196,6 +189,12 @@ struct NodeStatShard {
   StatCounter dir_cache_misses;
   StatCounter rpc_batches;  // PollBatch calls that returned >= 1 message
   StatCounter rpc_polled;   // messages those batches carried
+  // Idle parking (DESIGN.md §7.3): sleeps on the worker's doorbell, split
+  // by what ended them. With every producer ringing, timeouts stay near
+  // zero under load; an idle worker times out once per park cap.
+  StatCounter worker_parks;          // doorbell sleeps entered
+  StatCounter worker_park_wakes;     // sleeps ended by a ring
+  StatCounter worker_park_timeouts;  // sleeps that ran to the cap
   // Replicated-log instrumentation (DESIGN.md §11). Ship-side counters are
   // incremented from the client thread driving a ReplicatedContext (they
   // land on the primary node's overflow shard via client_stat_shard());
@@ -263,6 +262,9 @@ struct NodeStats {
   uint64_t dir_cache_misses = 0;
   uint64_t rpc_batches = 0;
   uint64_t rpc_polled = 0;
+  uint64_t worker_parks = 0;
+  uint64_t worker_park_wakes = 0;
+  uint64_t worker_park_timeouts = 0;
   uint64_t repl_ship_records = 0;
   uint64_t repl_acked_writes = 0;
   uint64_t repl_degraded_writes = 0;
@@ -334,7 +336,12 @@ class CormNode {
   // messages (corrections, compaction, audits) keep flowing so the control
   // plane and teardown never wedge on a crashed node.
   void PauseService() { paused_.store(true, std::memory_order_release); }
-  void ResumeService() { paused_.store(false, std::memory_order_release); }
+  // Rings every worker: the requests and log records that queued up while
+  // the node was paused are served at once, not after a park timeout.
+  void ResumeService() {
+    paused_.store(false, std::memory_order_release);
+    rpc_queue_.RingAll();
+  }
   bool IsServingRequests() const {
     return !paused_.load(std::memory_order_acquire);
   }

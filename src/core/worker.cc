@@ -2,9 +2,7 @@
 #include "core/worker.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "common/cpu_relax.h"
 #include "common/logging.h"
@@ -21,6 +19,7 @@ Worker::Worker(CormNode* node, int id)
     : node_(node),
       id_(id),
       allocator_(id, node->block_allocator_.get()),
+      doorbell_(node->rpc_queue()->doorbell(id)),
       inbox_(1024),
       rng_(node->config().seed * 7919 + static_cast<uint64_t>(id) + 1),
       stats_(node->stat_shard(id)),
@@ -39,99 +38,112 @@ void Worker::Send(WorkerMsg msg) {
   while (!inbox_.TryPush(msg)) {
     CpuRelax();
   }
+  doorbell_->Ring();
 }
 
 void Worker::Run() {
   node_->BindWorkerThread(id_);
   const size_t batch_max = std::min<size_t>(
       std::max<size_t>(node_->config().poll_batch, 1), kMaxPollBatch);
-  const bool idle_park = node_->config().idle_park;
   rdma::RpcMessage* batch[kMaxPollBatch];
   // Consecutive dry polls; reset by any work. Past kIdleYields the worker
-  // parks in escalating sleeps instead of re-entering the yield rotation.
+  // parks on its doorbell instead of re-entering the yield rotation.
   uint32_t idle = 0;
   // Run loop, not a completion wait: bounded by stop_. NOLINT(corm-spin-wait)
   while (!node_->stop_.load(std::memory_order_relaxed)) {
-    if (auto msg = inbox_.TryPop()) {
-      HandleInbox(*msg);
-      idle = 0;
-      continue;
-    }
-    bool served_rpc = false;
-    // A paused node (injected crash) stops serving inbound RPCs; queued
-    // requests stall until ResumeService or a restart purge, and clients
-    // time out per their RetryPolicy.
-    if (node_->IsServingRequests()) {
-      size_t n = node_->rpc_queue()->PollBatch(id_, batch, batch_max);
-      if (n == 0) {
-        // Steal — but only from rings whose owner is parked. An awake owner
-        // drains its own ring faster than we can, and racing it for its
-        // traffic would reset every idle sibling's dry-spell counter,
-        // keeping the whole pool spinning on load one worker could serve.
-        // A parked owner's ring, by contrast, has nobody else on it: a
-        // hinted op that lands there (e.g. an owner-routed Free) would
-        // otherwise wait out the owner's sleep.
-        const int nw = node_->num_workers();
-        for (int i = 1; i < nw && n == 0; ++i) {
-          const int r = (id_ + i) % nw;
-          if (node_->worker(r)->parked()) {
-            n = node_->rpc_queue()->PollBatch(r, batch, batch_max);
-          }
-        }
-      }
-      if (n > 0) {
-        ++stats_.rpc_batches;
-        stats_.rpc_polled += n;
-        for (size_t i = 0; i < n; ++i) {
-          HandleRpc(batch[i], /*forwarded=*/false);
-          // One inbox message between batch items: forwarded ops and
-          // correction replies stay responsive under a deep ring.
-          if (auto msg = inbox_.TryPop()) HandleInbox(*msg);
-        }
-        served_rpc = true;
-      }
-      // Replicated-log ingress (DESIGN.md §11): apply in-sequence records
-      // after the RPC batch, behind the same serving gate — a paused
-      // (crashed) node stops applying, and its ring records wait in the
-      // registered memory until restart.
-      if (DrainReplIngress() > 0) served_rpc = true;
-    }
-    // One compaction slice per loop iteration, strictly *after* the RPC
-    // batch: an active run cannot starve the data plane (the point of the
-    // sliced engine), and — load-bearing for fairness — at least one ring
-    // batch is served between a run finishing and the next run's Select
-    // detaching blocks, so owner-bound ops (Free) that bounced off
-    // in-transit blocks get a guaranteed window in which to land.
-    if (engine_->active()) {
-      engine_->Step();
-      idle = 0;
-      continue;
-    }
-    if (served_rpc) {
+    if (PollOnce(batch, batch_max)) {
       idle = 0;
       continue;
     }
     // Idle. A yield lets the threads we might be blocking run; once the dry
-    // spell outlasts kIdleYields, park in escalating sleeps (capped at
-    // ~1 ms). A parked worker's ring is stolen from by awake siblings, so
-    // the cap bounds only inbox latency (control-plane messages), not RPC
-    // latency. On an oversubscribed host this removes idle workers from the
-    // scheduler rotation that every RPC round trip must traverse — the
-    // single biggest hot-path cost on a few-core machine.
-    ++idle;
-    if (!idle_park || idle <= kIdleYields) {
+    // spell outlasts kIdleYields, park. On an oversubscribed host this
+    // removes idle workers from the scheduler rotation that every RPC round
+    // trip must traverse — the single biggest hot-path cost on a few-core
+    // machine.
+    if (++idle <= kIdleYields) {
       CpuRelax();
-    } else {
-      const uint32_t exp = std::min(idle - kIdleYields, 10u);
-      parked_.store(true, std::memory_order_relaxed);
-      std::this_thread::sleep_for(std::chrono::microseconds(1u << exp));
-      parked_.store(false, std::memory_order_relaxed);
+      continue;
     }
+    // Park: arm the doorbell, re-poll, and only then sleep (the completion-
+    // channel pattern: ibv_req_notify_cq, poll the CQ once more, then
+    // ibv_get_cq_event). Work published before a producer's Ring() that
+    // missed the arm is found by the re-poll; any later Ring() wakes the
+    // sleep. The futex timeout is only a safety net.
+    const uint32_t key = doorbell_->Arm();
+    parked_.store(true, std::memory_order_relaxed);
+    if (node_->stop_.load(std::memory_order_relaxed) ||
+        PollOnce(batch, batch_max)) {
+      doorbell_->Disarm();
+      idle = 0;
+    } else {
+      ++stats_.worker_parks;
+      if (doorbell_->Wait(key, kParkTimeoutNs) == Doorbell::WaitResult::kRung) {
+        ++stats_.worker_park_wakes;
+      } else {
+        ++stats_.worker_park_timeouts;
+      }
+    }
+    parked_.store(false, std::memory_order_relaxed);
   }
   // Stop raced an active run: complete its request (the control-plane
   // caller is still spinning on it) and hand collected blocks back.
   engine_->Shutdown();
-  parked_.store(false, std::memory_order_relaxed);
+}
+
+bool Worker::PollOnce(rdma::RpcMessage** batch, size_t batch_max) {
+  if (auto msg = inbox_.TryPop()) {
+    HandleInbox(*msg);
+    return true;
+  }
+  bool worked = false;
+  // A paused node (injected crash) stops serving inbound RPCs; queued
+  // requests stall until ResumeService or a restart purge, and clients
+  // time out per their RetryPolicy.
+  if (node_->IsServingRequests()) {
+    size_t n = node_->rpc_queue()->PollBatch(id_, batch, batch_max);
+    if (n == 0) {
+      // Steal — but only from rings whose owner is parked. An awake owner
+      // drains its own ring faster than we can, and racing it for its
+      // traffic would reset every idle sibling's dry-spell counter,
+      // keeping the whole pool spinning on load one worker could serve.
+      // A parked owner's ring, by contrast, has nobody else on it until
+      // its doorbell wakes the owner.
+      const int nw = node_->num_workers();
+      for (int i = 1; i < nw && n == 0; ++i) {
+        const int r = (id_ + i) % nw;
+        if (node_->worker(r)->parked()) {
+          n = node_->rpc_queue()->PollBatch(r, batch, batch_max);
+        }
+      }
+    }
+    if (n > 0) {
+      ++stats_.rpc_batches;
+      stats_.rpc_polled += n;
+      for (size_t i = 0; i < n; ++i) {
+        HandleRpc(batch[i], /*forwarded=*/false);
+        // One inbox message between batch items: forwarded ops and
+        // correction replies stay responsive under a deep ring.
+        if (auto msg = inbox_.TryPop()) HandleInbox(*msg);
+      }
+      worked = true;
+    }
+    // Replicated-log ingress (DESIGN.md §11): apply in-sequence records
+    // after the RPC batch, behind the same serving gate — a paused
+    // (crashed) node stops applying, and its ring records wait in the
+    // registered memory until restart.
+    if (DrainReplIngress() > 0) worked = true;
+  }
+  // One compaction slice per poll, strictly *after* the RPC batch: an
+  // active run cannot starve the data plane (the point of the sliced
+  // engine), and — load-bearing for fairness — at least one ring batch is
+  // served between a run finishing and the next run's Select detaching
+  // blocks, so owner-bound ops (Free) that bounced off in-transit blocks
+  // get a guaranteed window in which to land.
+  if (engine_->active()) {
+    engine_->Step();
+    worked = true;
+  }
+  return worked;
 }
 
 void Worker::HandleInbox(WorkerMsg& msg) {
@@ -143,6 +155,7 @@ void Worker::HandleInbox(WorkerMsg& msg) {
       // Only the current owner may touch block metadata; if ownership moved
       // while the query was in flight, the requester re-routes.
       if (msg.block->owner_thread() == id_) {
+        msg.correction->owned = true;
         auto slot = OwnerLookup(msg.block, msg.obj_id);
         msg.correction->found = slot.ok();
         msg.correction->slot = slot.ok() ? *slot : 0;
@@ -416,8 +429,11 @@ Result<uint32_t> Worker::CorrectViaOwner(alloc::Block* block,
       }
     }
     if (reply.found) return reply.slot;
-    // Owner either no longer owns the block (retry) or the ID is gone.
-    if (block->owner_thread() == owner) {
+    // Decide from the reply, not by re-reading the owner: a compaction run
+    // can collect the block and hand it back to the same owner in between.
+    // Owned and not found: the ID is gone. Not owned: ownership moved
+    // before the owner looked, so retry.
+    if (reply.owned) {
       return Status::NotFound("object ID not present in block");
     }
   }

@@ -17,6 +17,7 @@
 
 #include "alloc/block.h"
 #include "alloc/thread_allocator.h"
+#include "common/doorbell.h"
 #include "common/mpmc_queue.h"
 #include "common/random.h"
 #include "common/slice.h"
@@ -31,6 +32,7 @@ namespace corm::core {
 
 struct CorrectionReply {
   std::atomic<bool> done{false};
+  bool owned = false;  // the addressee owned the block when it looked
   bool found = false;
   uint32_t slot = 0;
 };
@@ -115,19 +117,21 @@ class Worker {
   // Thread body; returns when the node's stop flag is set. Drains the
   // worker's own RPC ring in batches (stealing only from rings whose owner
   // worker is parked) and interleaves inbox messages between batch items so
-  // correction queries are never starved behind a long batch.
+  // correction queries are never starved behind a long batch. An idle
+  // worker parks on its ring's doorbell until a producer rings it.
   void Run();
 
-  // Enqueues a message (any thread). Spins while the inbox is full.
+  // Enqueues a message (any thread) and rings the worker's doorbell. Spins
+  // while the inbox is full.
   void Send(WorkerMsg msg);
 
   int id() const { return id_; }
   alloc::ThreadAllocator* allocator() { return &allocator_; }
 
-  // True while the worker is sleeping out an idle spell. Siblings steal
-  // from a ring only while its owner is parked — an awake owner drains its
-  // own ring, and stealing from it would keep every idle worker spinning on
-  // load that belongs to one worker (see Run()).
+  // True while the worker is parked on its doorbell (armed, re-polling or
+  // asleep). Siblings steal from a ring only while its owner is parked — an
+  // awake owner drains its own ring, and stealing from it would keep every
+  // idle worker spinning on load that belongs to one worker (see Run()).
   bool parked() const { return parked_.load(std::memory_order_relaxed); }
 
   // Result of locating an object (public for internal free helpers).
@@ -141,6 +145,10 @@ class Worker {
 
  private:
   // --- Dispatch. ---------------------------------------------------------
+  // One pass over every work source: an inbox message, else an RPC batch
+  // from the own ring (or a parked sibling's), the replicated-log ingress,
+  // and one compaction slice. Returns true when any of them did work.
+  bool PollOnce(rdma::RpcMessage** batch, size_t batch_max);
   void HandleInbox(WorkerMsg& msg);
   void HandleRpc(rdma::RpcMessage* rpc, bool forwarded);
 
@@ -236,8 +244,11 @@ class Worker {
   static constexpr int kReplApplyBatch = 16;
   // Random ID draws before DrawObjectId falls back to scanning.
   static constexpr int kIdRandomDraws = 32;
-  // Dry polls an idle worker yields through before parking in short sleeps.
+  // Dry polls an idle worker yields through before parking on its doorbell.
   static constexpr uint32_t kIdleYields = 4;
+  // Cap on one doorbell sleep. A safety net only: every producer of worker
+  // work rings, so under load a park ends on a ring, not on this.
+  static constexpr uint64_t kParkTimeoutNs = 1'000'000;
 
   // Direct-mapped directory cache slot: valid while the stamped epoch still
   // equals the directory's (any directory mutation invalidates all slots).
@@ -252,6 +263,8 @@ class Worker {
   const int id_;
   alloc::ThreadAllocator allocator_;
   std::atomic<bool> parked_{false};
+  // This worker's RPC ring doorbell (owned by the node's RpcQueue).
+  Doorbell* const doorbell_;
   MpmcQueue<WorkerMsg> inbox_;
   Rng rng_;
   // This worker's cacheline-padded stat shard; counters on the data plane

@@ -25,7 +25,7 @@ constexpr int kRetransmitEvery = 8;
 
 int ReplicaLogShipper::AddSession(Rnic* remote_rnic, sim::VAddr ring_base,
                                   RKey r_key, uint32_t slots,
-                                  uint32_t slot_bytes) {
+                                  uint32_t slot_bytes, uint32_t imm) {
   // Session setup is the cold path (once per replica node per context);
   // the staging image is the allocation that keeps Ship() allocation-free.
   // NOLINT(corm-hotpath-alloc)
@@ -34,6 +34,7 @@ int ReplicaLogShipper::AddSession(Rnic* remote_rnic, sim::VAddr ring_base,
   s->r_key = r_key;
   s->slots = slots;
   s->slot_bytes = slot_bytes;
+  s->imm = imm;
   // Staging image + per-slot lengths, sized once here so the ship path
   // never grows them. NOLINT(corm-hotpath-alloc)
   s->staging.resize(static_cast<size_t>(slots) * slot_bytes);
@@ -57,12 +58,16 @@ uint64_t ReplicaLogShipper::next_seq(int session) const {
 
 Status ReplicaLogShipper::WriteSlot(Session& s, uint64_t seq) {
   const uint32_t wire = s.staged_len[(seq - 1) % s.slots];
-  auto ns = s.qp.Write(s.r_key, SlotAddr(s, seq), StagedSlot(s, seq), wire);
+  // WRITE_WITH_IMM: the record lands, then the immediate wakes the worker
+  // draining the ring (a retransmit wakes it again, which is harmless).
+  auto ns = s.qp.WriteWithImm(s.r_key, SlotAddr(s, seq), StagedSlot(s, seq),
+                              wire, s.imm);
   if (ns.status().code() == StatusCode::kQpBroken) {
     // Broken QP (fault site qp.break): reconnect in place and retry. Every
     // staged record survives in the session image, so nothing is lost.
     modeled_ns_ += s.qp.Reconnect();
-    ns = s.qp.Write(s.r_key, SlotAddr(s, seq), StagedSlot(s, seq), wire);
+    ns = s.qp.WriteWithImm(s.r_key, SlotAddr(s, seq), StagedSlot(s, seq),
+                           wire, s.imm);
   }
   CORM_RETURN_NOT_OK(ns.status());
   modeled_ns_ += *ns;

@@ -4,7 +4,10 @@
 // *session* per backup replica node: a QueuePair to that node's RNIC, the
 // remote coordinates of its ReplLogRing, and a local staging image of every
 // in-flight record. Shipping is purely one-sided: Ship() stages the wire
-// image and RDMA-WRITEs it into the next ring slot; the ack is the backup's
+// image and RDMA-WRITEs it into the next ring slot — a WRITE_WITH_IMM whose
+// immediate names the ring, so the backup wakes the worker that drains it
+// instead of leaving the record to that worker's next poll; the ack is the
+// backup's
 // applied_seq control word, which ReadApplied() fetches with a one-sided
 // READ. Because the staging image survives until the ack covers it,
 // Retransmit() can re-write any window of records verbatim — the recovery
@@ -38,9 +41,11 @@ class ReplicaLogShipper {
   ReplicaLogShipper& operator=(const ReplicaLogShipper&) = delete;
 
   // Opens a session to a remote ReplLogRing (cold path, run once per
-  // replica node). Returns the session index used by every other call.
+  // replica node). `imm` is the immediate every record write carries (the
+  // ring's id on its node). Returns the session index used by every other
+  // call.
   int AddSession(Rnic* remote_rnic, sim::VAddr ring_base, RKey r_key,
-                 uint32_t slots, uint32_t slot_bytes);
+                 uint32_t slots, uint32_t slot_bytes, uint32_t imm);
 
   size_t num_sessions() const { return sessions_.size(); }
   // Usable record-payload bytes per slot for `session`.
@@ -94,6 +99,7 @@ class ReplicaLogShipper {
     RKey r_key = 0;
     uint32_t slots = 0;
     uint32_t slot_bytes = 0;
+    uint32_t imm = 0;    // immediate carried by every record write
     uint64_t next = 1;   // next sequence to assign
     uint64_t acked = 0;  // last applied sequence observed remotely
     Buffer staging;      // slots * slot_bytes local image of in-flight slots

@@ -34,6 +34,14 @@ Result<uint64_t> QueuePair::Write(RKey r_key, sim::VAddr addr,
   return Access(r_key, addr, const_cast<void*>(data), len, /*is_write=*/true);
 }
 
+Result<uint64_t> QueuePair::WriteWithImm(RKey r_key, sim::VAddr addr,
+                                         const void* data, size_t len,
+                                         uint32_t imm) {
+  auto ns = Write(r_key, addr, data, len);
+  if (ns.ok()) rnic_->DeliverImm(imm);
+  return ns;
+}
+
 uint64_t QueuePair::ExecuteWr(WorkRequest* wr) {
   const sim::LatencyModel& m = rnic_->model();
   if (state_.load(std::memory_order_acquire) == State::kError) {

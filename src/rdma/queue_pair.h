@@ -72,6 +72,13 @@ class QueuePair {
   Result<uint64_t> Write(RKey r_key, sim::VAddr addr, const void* data,
                          size_t len);
 
+  // WRITE_WITH_IMM: a Write whose immediate `imm` is delivered to the
+  // remote node (Rnic::DeliverImm) once the payload has landed, waking the
+  // thread that consumes it. Modeled like a Write: the immediate rides the
+  // same packet.
+  Result<uint64_t> WriteWithImm(RKey r_key, sim::VAddr addr, const void* data,
+                                size_t len, uint32_t imm);
+
   // One-sided masked atomics on a remote 8-byte word (the synchronization
   // verbs of DESIGN.md §12). `*old_value` receives the prior contents; a
   // CAS succeeded iff *old_value == compare. Charged as a single-WR post

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -162,6 +163,19 @@ class Rnic : public sim::MmuNotifier {
                              uint64_t compare, uint64_t operand,
                              uint64_t* old_value, bool* broke_qp);
 
+  // --- WRITE_WITH_IMM receive side. -------------------------------------
+  // An inbound WRITE_WITH_IMM hands its 32-bit immediate to the owning
+  // node's handler right after the payload lands: the receive completion a
+  // real host picks up from its completion channel. The handler is
+  // installed once, before the RNIC is reachable by any peer; without one
+  // immediates are dropped (the payload still lands).
+  void SetImmHandler(std::function<void(uint32_t imm)> handler) {
+    imm_handler_ = std::move(handler);
+  }
+  void DeliverImm(uint32_t imm) {
+    if (imm_handler_) imm_handler_(imm);
+  }
+
   // MmuNotifier: the OS remapped `page`; invalidate ODP entries.
   void OnMappingChange(sim::VAddr page) override;
 
@@ -215,6 +229,7 @@ class Rnic : public sim::MmuNotifier {
   RnicStats stats_;
   // Direct-mapped translation cache: cached vpage per set (0 = empty).
   std::vector<std::atomic<uint64_t>> mtt_cache_;
+  std::function<void(uint32_t)> imm_handler_;
 };
 
 }  // namespace corm::rdma

@@ -29,6 +29,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/doorbell.h"
 #include "common/mpmc_queue.h"
 #include "common/result.h"
 #include "common/retry.h"
@@ -126,7 +127,9 @@ class NicMessageRateLimiter {
 };
 
 // The inbound request queue on the server node: one lock-free ring per
-// worker plus a shared rate limiter. Capacity is per ring.
+// worker plus a shared rate limiter. Capacity is per ring. Each ring has a
+// doorbell its worker parks on; Push rings the doorbell of the ring the
+// request landed in, so a parked worker wakes as soon as work arrives.
 class RpcQueue {
  public:
   explicit RpcQueue(size_t ring_capacity_pow2 = 4096, int num_rings = 1);
@@ -134,11 +137,18 @@ class RpcQueue {
   int num_rings() const { return static_cast<int>(rings_.size()); }
   NicMessageRateLimiter* rate_limiter() { return &limiter_; }
 
-  // Enqueues a request; false when every ring is full (client backs off).
-  // `ring_hint` targets a specific worker's ring (owner affinity); out of
-  // range (or -1) round-robins. A full hinted ring falls through to the
-  // others before giving up.
+  // Enqueues a request and rings its ring's doorbell; false when every ring
+  // is full (client backs off). `ring_hint` targets a specific worker's
+  // ring (owner affinity); out of range (or -1) round-robins. A full hinted
+  // ring falls through to the others before giving up.
   bool Push(RpcMessage* msg, int ring_hint = -1);
+
+  // The doorbell of `ring`: its worker parks on it, and every producer of
+  // that worker's work (ring pushes, inbox messages, replicated-log
+  // records, service resume, node stop) rings it after publishing.
+  Doorbell* doorbell(int ring) { return &rings_[ring]->doorbell; }
+  // Rings every ring's doorbell (a node-wide state change: resume, stop).
+  void RingAll();
 
   // Dequeues one request from any ring, or nullptr when all are empty.
   // Control-plane use (tests, the cluster restart purge); workers use
@@ -156,8 +166,13 @@ class RpcQueue {
   size_t ApproxDepth() const;
 
  private:
-  // unique_ptr: MpmcQueue is neither movable nor copyable.
-  std::vector<std::unique_ptr<MpmcQueue<RpcMessage*>>> rings_;
+  struct WorkerRing {
+    explicit WorkerRing(size_t capacity_pow2) : queue(capacity_pow2) {}
+    MpmcQueue<RpcMessage*> queue;
+    Doorbell doorbell;
+  };
+  // unique_ptr: neither MpmcQueue nor Doorbell is movable or copyable.
+  std::vector<std::unique_ptr<WorkerRing>> rings_;
   std::atomic<uint64_t> rr_{0};  // round-robin cursor for unhinted pushes
   NicMessageRateLimiter limiter_;
 };
