@@ -1,17 +1,15 @@
-// Hot-path RPC throughput, with per-toggle attribution (DESIGN.md §7).
+// Hot-path RPC throughput (DESIGN.md §7).
 //
 // Unlike the figure benches, this one measures *wall-clock* throughput of
 // the real serving loop (SimTimeScale 0, NIC message rate uncapped): the
 // quantity under test is the data plane's per-op CPU cost — directory
 // lookup, queue synchronization, message allocation, scheduler rotation —
-// not the modeled network. Each data-plane knob (CormConfig::dir_cache,
-// msg_pool, poll_batch) can be toggled from the CLI, and the default run
-// flips each one off individually to attribute its share.
+// not the modeled network.
 //
 // Output: a table on stdout plus BENCH_hotpath.json (schema in
 // EXPERIMENTS.md, "Hot path" section). --check=<floor.json> compares the
-// full-toggle results against a checked-in floor and exits non-zero on a
-// >30% regression — the CI perf-smoke gate.
+// results against a checked-in floor and exits non-zero on a >30%
+// regression — the CI perf-smoke gate.
 
 #include <cstdint>
 #include <cstdio>
@@ -26,7 +24,6 @@
 #include "bench/bench_common.h"
 #include "core/client.h"
 #include "core/corm_node.h"
-#include "rdma/rpc_transport.h"
 
 using namespace corm;
 using namespace corm::bench;
@@ -47,12 +44,6 @@ std::string FlagStr(int argc, char** argv, const char* name,
   }
   return def;
 }
-
-struct Toggles {
-  bool dir_cache = true;
-  bool msg_pool = true;
-  size_t poll_batch = 16;
-};
 
 struct Workload {
   int num_workers = 4;
@@ -100,25 +91,18 @@ double RunLoad(CormNode* node, const std::vector<GlobalAddr>& addrs,
   return static_cast<double>(ops.load()) / static_cast<double>(seconds);
 }
 
-Results Measure(const Workload& w, const Toggles& t, bool full_matrix) {
-  rdma::RpcMessagePool::SetEnabled(t.msg_pool);
+Results Measure(const Workload& w) {
   CormConfig cfg;
   cfg.num_workers = w.num_workers;
   cfg.nic_msg_rate = 0;  // uncapped: measure CPU cost, not the modeled NIC
-  cfg.dir_cache = t.dir_cache;
-  cfg.msg_pool = t.msg_pool;
-  cfg.poll_batch = t.poll_batch;
   CormNode node(cfg);
   auto addrs = node.BulkAlloc(w.objects, w.payload);
   CORM_CHECK(addrs.ok());
   Results r;
   r.read_1t = RunLoad(&node, *addrs, 1, false, w.seconds, w.payload);
-  if (full_matrix) {
-    r.read_nt = RunLoad(&node, *addrs, w.threads, false, w.seconds, w.payload);
-    r.mixed_nt = RunLoad(&node, *addrs, w.threads, true, w.seconds, w.payload);
-  }
+  r.read_nt = RunLoad(&node, *addrs, w.threads, false, w.seconds, w.payload);
+  r.mixed_nt = RunLoad(&node, *addrs, w.threads, true, w.seconds, w.payload);
   r.counters = node.stats();
-  rdma::RpcMessagePool::SetEnabled(true);
   return r;
 }
 
@@ -151,11 +135,6 @@ int main(int argc, char** argv) {
   w.payload = static_cast<uint32_t>(FlagU64(argc, argv, "payload", 64));
   w.seconds = FlagU64(argc, argv, "seconds", 2);
 
-  Toggles full;
-  full.dir_cache = FlagU64(argc, argv, "dir_cache", 1) != 0;
-  full.msg_pool = FlagU64(argc, argv, "msg_pool", 1) != 0;
-  full.poll_batch = FlagU64(argc, argv, "poll_batch", 16);
-  const bool attrib = FlagU64(argc, argv, "attrib", 1) != 0;
   const std::string json_path =
       FlagStr(argc, argv, "json", "BENCH_hotpath.json");
   const std::string floor_path = FlagStr(argc, argv, "check", "");
@@ -165,39 +144,11 @@ int main(int argc, char** argv) {
               w.num_workers, w.threads, w.objects, w.payload,
               static_cast<unsigned long long>(w.seconds));
 
-  const Results r = Measure(w, full, /*full_matrix=*/true);
+  const Results r = Measure(w);
   PrintRow({"mode", "ops/s"}, 26);
   PrintRow({"read 1 client", Fmt("%.0f", r.read_1t)}, 26);
   PrintRow({"read N clients", Fmt("%.0f", r.read_nt)}, 26);
   PrintRow({"mixed 50/50 N clients", Fmt("%.0f", r.mixed_nt)}, 26);
-
-  // Attribution: flip each toggle off in isolation, re-measure the
-  // single-client read rate. What each knob buys depends on the host; with
-  // many cores the cache and pool show up most.
-  struct Attrib {
-    const char* key;
-    double read_1t;
-  };
-  std::vector<Attrib> attribution;
-  if (attrib) {
-    PrintTitle("Attribution: single toggles off, read 1 client");
-    PrintRow({"toggle off", "ops/s", "vs full"}, 22);
-    const struct {
-      const char* key;
-      Toggles t;
-    } variants[] = {
-        {"dir_cache", [&] { Toggles t = full; t.dir_cache = false; return t; }()},
-        {"msg_pool", [&] { Toggles t = full; t.msg_pool = false; return t; }()},
-        {"poll_batch", [&] { Toggles t = full; t.poll_batch = 1; return t; }()},
-    };
-    for (const auto& v : variants) {
-      const Results rv = Measure(w, v.t, /*full_matrix=*/false);
-      attribution.push_back({v.key, rv.read_1t});
-      PrintRow({v.key, Fmt("%.0f", rv.read_1t),
-                Fmt("%.2fx", r.read_1t / std::max(rv.read_1t, 1.0))},
-               22);
-    }
-  }
 
   // JSON artifact (schema: EXPERIMENTS.md, "Hot path").
   {
@@ -207,23 +158,12 @@ int main(int argc, char** argv) {
         << ", \"threads\": " << w.threads << ", \"objects\": " << w.objects
         << ", \"payload\": " << w.payload << ", \"seconds\": " << w.seconds
         << "},\n";
-    out << "  \"toggles\": {\"dir_cache\": " << (full.dir_cache ? 1 : 0)
-        << ", \"msg_pool\": " << (full.msg_pool ? 1 : 0)
-        << ", \"poll_batch\": " << full.poll_batch << "},\n";
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "  \"results\": {\"read_1t\": %.0f, \"read_nt\": %.0f, "
                   "\"mixed_nt\": %.0f},\n",
                   r.read_1t, r.read_nt, r.mixed_nt);
     out << buf;
-    out << "  \"attribution\": {";
-    for (size_t i = 0; i < attribution.size(); ++i) {
-      std::snprintf(buf, sizeof(buf), "%s\"read_1t_no_%s\": %.0f",
-                    i ? ", " : "", attribution[i].key,
-                    attribution[i].read_1t);
-      out << buf;
-    }
-    out << "},\n";
     out << "  \"counters\": {\"dir_cache_hits\": " << r.counters.dir_cache_hits
         << ", \"dir_cache_misses\": " << r.counters.dir_cache_misses
         << ", \"rpc_batches\": " << r.counters.rpc_batches
@@ -240,8 +180,8 @@ int main(int argc, char** argv) {
     std::printf("\nwrote %s\n", json_path.c_str());
   }
 
-  // Floor check (CI perf smoke): the full-toggle numbers must stay within
-  // 30% of the checked-in floor.
+  // Floor check (CI perf smoke): the results must stay within 30% of the
+  // checked-in floor.
   if (!floor_path.empty()) {
     std::ifstream in(floor_path);
     if (!in) {

@@ -4,19 +4,29 @@
 #ifndef CORM_COMMON_MATH_UTIL_H_
 #define CORM_COMMON_MATH_UTIL_H_
 
+#include <math.h>
+
 #include <cmath>
 #include <cstdint>
 #include <limits>
 
 namespace corm {
 
+// ln Γ(x) for x > 0. lgamma_r, not std::lgamma: std::lgamma stores the
+// sign of Γ(x) in glibc's global `signgam`, a data race when two nodes'
+// compaction planners run this at once.
+inline double LogGamma(double x) {
+  int sign;
+  return ::lgamma_r(x, &sign);
+}
+
 // ln C(n, k); returns -inf when k > n (C = 0).
 inline double LogBinomial(uint64_t n, uint64_t k) {
   if (k > n) return -std::numeric_limits<double>::infinity();
   if (k == 0 || k == n) return 0.0;
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return LogGamma(static_cast<double>(n) + 1.0) -
+         LogGamma(static_cast<double>(k) + 1.0) -
+         LogGamma(static_cast<double>(n - k) + 1.0);
 }
 
 // C(n1, k) / C(n2, k) computed stably in log space. Returns 0 when the

@@ -27,8 +27,7 @@ CormNode::CormNode(CormConfig config)
       classes_(alloc::SizeClassTable::Default()),
       rpc_queue_(/*ring_capacity_pow2=*/1024,
                  /*num_rings=*/std::max(config.num_workers, 1)),
-      stat_shards_(static_cast<size_t>(std::max(config.num_workers, 1)) + 1),
-      directory_(config.dir_shards) {
+      stat_shards_(static_cast<size_t>(std::max(config.num_workers, 1)) + 1) {
   CORM_CHECK_GT(config_.num_workers, 0);
   CORM_CHECK_LE(config_.object_id_bits, 16);
   phys_ = std::make_unique<sim::PhysicalMemory>(config_.max_frames);

@@ -34,8 +34,8 @@
 #include "core/vaddr_tracker.h"
 #include "index/index_table.h"
 #include "rdma/rnic.h"
+#include "rdma/repl_log_ring.h"
 #include "rdma/rpc_transport.h"
-#include "rdma/write_ring.h"
 #include "sim/address_space.h"
 #include "sim/latency_model.h"
 #include "sim/mem_file.h"
@@ -115,18 +115,6 @@ struct CormConfig {
   // Two-sided message rate of the server NIC (Send/Recv); every RPC costs
   // two messages, so ops saturate at half this rate (Fig. 12). 0 = no cap.
   uint64_t nic_msg_rate = 1'400'000;
-
-  // --- Data-plane performance knobs (DESIGN.md §7; bench_hotpath toggles
-  // each one to attribute its share of the hot-path speedup). -------------
-  // Per-worker directory lookup cache, invalidated by the directory epoch.
-  bool dir_cache = true;
-  // RpcMessage freelist + per-worker read scratch buffer (no per-op heap
-  // allocation on the steady-state path).
-  bool msg_pool = true;
-  // Max RPCs a worker drains from its ring per queue synchronization.
-  size_t poll_batch = 16;
-  // Directory shards (rounded up to a power of two).
-  size_t dir_shards = 16;
 
   // --- Remote synchronization & doorbell batching (DESIGN.md §12). -------
   // Client read/write synchronization scheme (the §12 shootout knob):

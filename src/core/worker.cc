@@ -23,8 +23,6 @@ Worker::Worker(CormNode* node, int id)
       inbox_(1024),
       rng_(node->config().seed * 7919 + static_cast<uint64_t>(id) + 1),
       stats_(node->stat_shard(id)),
-      dir_cache_enabled_(node->config().dir_cache),
-      scratch_enabled_(node->config().msg_pool),
       dir_cache_(kDirCacheSlots) {  // NOLINT(corm-hotpath-alloc) ctor only
   static_assert((kDirCacheSlots & (kDirCacheSlots - 1)) == 0,
                 "direct-mapped cache wants a power-of-two slot count");
@@ -43,15 +41,13 @@ void Worker::Send(WorkerMsg msg) {
 
 void Worker::Run() {
   node_->BindWorkerThread(id_);
-  const size_t batch_max = std::min<size_t>(
-      std::max<size_t>(node_->config().poll_batch, 1), kMaxPollBatch);
-  rdma::RpcMessage* batch[kMaxPollBatch];
+  rdma::RpcMessage* batch[kPollBatch];
   // Consecutive dry polls; reset by any work. Past kIdleYields the worker
   // parks on its doorbell instead of re-entering the yield rotation.
   uint32_t idle = 0;
   // Run loop, not a completion wait: bounded by stop_. NOLINT(corm-spin-wait)
   while (!node_->stop_.load(std::memory_order_relaxed)) {
-    if (PollOnce(batch, batch_max)) {
+    if (PollOnce(batch)) {
       idle = 0;
       continue;
     }
@@ -72,7 +68,7 @@ void Worker::Run() {
     const uint32_t key = doorbell_->Arm();
     parked_.store(true, std::memory_order_relaxed);
     if (node_->stop_.load(std::memory_order_relaxed) ||
-        PollOnce(batch, batch_max)) {
+        PollOnce(batch)) {
       doorbell_->Disarm();
       idle = 0;
     } else {
@@ -90,7 +86,7 @@ void Worker::Run() {
   engine_->Shutdown();
 }
 
-bool Worker::PollOnce(rdma::RpcMessage** batch, size_t batch_max) {
+bool Worker::PollOnce(rdma::RpcMessage** batch) {
   if (auto msg = inbox_.TryPop()) {
     HandleInbox(*msg);
     return true;
@@ -100,7 +96,7 @@ bool Worker::PollOnce(rdma::RpcMessage** batch, size_t batch_max) {
   // requests stall until ResumeService or a restart purge, and clients
   // time out per their RetryPolicy.
   if (node_->IsServingRequests()) {
-    size_t n = node_->rpc_queue()->PollBatch(id_, batch, batch_max);
+    size_t n = node_->rpc_queue()->PollBatch(id_, batch, kPollBatch);
     if (n == 0) {
       // Steal — but only from rings whose owner is parked. An awake owner
       // drains its own ring faster than we can, and racing it for its
@@ -112,7 +108,7 @@ bool Worker::PollOnce(rdma::RpcMessage** batch, size_t batch_max) {
       for (int i = 1; i < nw && n == 0; ++i) {
         const int r = (id_ + i) % nw;
         if (node_->worker(r)->parked()) {
-          n = node_->rpc_queue()->PollBatch(r, batch, batch_max);
+          n = node_->rpc_queue()->PollBatch(r, batch, kPollBatch);
         }
       }
     }
@@ -449,7 +445,6 @@ Result<uint32_t> Worker::CorrectViaOwner(alloc::Block* block,
 // in flight linearizes as a lookup just before that mutation, exactly the
 // schedule a raw lock-free Lookup already admits (see block_directory.h).
 CormNode::DirectoryEntry Worker::LookupBlockCached(sim::VAddr base) {
-  if (!dir_cache_enabled_) return node_->LookupBlock(base);
   const uint64_t epoch = node_->directory_.epoch();
   DirCacheSlot& slot =
       dir_cache_[BlockDirectory::Mix(base) & (kDirCacheSlots - 1)];
@@ -550,10 +545,8 @@ void Worker::HandleRead(rdma::RpcMessage* rpc) NO_THREAD_SAFETY_ANALYSIS {
   resp.size = req.size;
   // Stage the payload in the worker's reusable scratch buffer: resize()
   // only allocates until the high-water mark, so the steady-state read
-  // path touches no allocator. The pooling-off bench baseline allocates
-  // per op, as the old code did.
-  Buffer local;
-  Buffer& payload = scratch_enabled_ ? read_scratch_ : local;
+  // path touches no allocator.
+  Buffer& payload = read_scratch_;
   payload.resize(req.size);  // NOLINT(corm-hotpath-alloc) high-water only
   for (int attempt = 0; attempt < 16; ++attempt) {
     const uint64_t w1 = LoadHeaderWord(ptr);

@@ -148,7 +148,7 @@ class Worker {
   // One pass over every work source: an inbox message, else an RPC batch
   // from the own ring (or a parked sibling's), the replicated-log ingress,
   // and one compaction slice. Returns true when any of them did work.
-  bool PollOnce(rdma::RpcMessage** batch, size_t batch_max);
+  bool PollOnce(rdma::RpcMessage** batch);
   void HandleInbox(WorkerMsg& msg);
   void HandleRpc(rdma::RpcMessage* rpc, bool forwarded);
 
@@ -236,9 +236,9 @@ class Worker {
   // ClassCompactable) as the leader-side half of the protocol.
   friend class CompactionEngine;
 
-  // Largest batch a worker drains from its RPC ring per queue
-  // synchronization (CormConfig::poll_batch is clamped to this).
-  static constexpr size_t kMaxPollBatch = 64;
+  // RPCs a worker drains from its RPC ring per queue synchronization;
+  // `batch` in PollOnce holds this many.
+  static constexpr size_t kPollBatch = 16;
   // Records applied per ingress ring per drain pass: bounds how long the
   // apply path keeps the worker away from its RPC ring.
   static constexpr int kReplApplyBatch = 16;
@@ -270,8 +270,6 @@ class Worker {
   // This worker's cacheline-padded stat shard; counters on the data plane
   // are plain increments with no shared-line contention.
   NodeStatShard& stats_;
-  const bool dir_cache_enabled_;
-  const bool scratch_enabled_;
   // Reusable read-payload staging buffer (capacity persists across ops, so
   // the steady-state read path performs no heap allocation).
   Buffer read_scratch_;

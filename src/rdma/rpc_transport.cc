@@ -26,8 +26,6 @@ uint64_t NowNs() {
 
 namespace {
 
-std::atomic<bool> g_pool_enabled{true};
-
 // Thread-local freelist; its destructor (thread exit) frees what the thread
 // shelved. Plain vector: only the owning thread touches it.
 struct MessageFreeList {
@@ -45,22 +43,14 @@ MessageFreeList& LocalFreeList() {
 
 }  // namespace
 
-void RpcMessagePool::SetEnabled(bool on) {
-  g_pool_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool RpcMessagePool::Enabled() {
-  return g_pool_enabled.load(std::memory_order_relaxed);
-}
-
 RpcMessage* RpcMessagePool::Acquire() {
   MessageFreeList& list = LocalFreeList();
   RpcMessage* msg;
-  if (Enabled() && !list.items.empty()) {
+  if (!list.items.empty()) {
     msg = list.items.back();
     list.items.pop_back();
   } else {
-    // Cold path: pool empty (warm-up) or pooling disabled.
+    // Cold path: pool empty (warm-up).
     msg = new RpcMessage();  // NOLINT(corm-raw-new)
   }
   // Two references: the calling client's and the serving node's.
@@ -74,7 +64,7 @@ size_t RpcMessagePool::LocalFreeForTesting() {
 
 void RpcMessagePool::Recycle(RpcMessage* msg) {
   MessageFreeList& list = LocalFreeList();
-  if (!Enabled() || list.items.size() >= kMaxPerThread) {
+  if (list.items.size() >= kMaxPerThread) {
     delete msg;  // NOLINT(corm-raw-new) refcount 0: sole owner
     return;
   }

@@ -78,13 +78,9 @@ struct RpcMessage {
 // abandoned-timeout path the server's Complete drops the last reference and
 // the message recycles into the worker's freelist (bounded; workers never
 // acquire, so those entries persist until further abandons overflow the cap
-// and delete). Toggling SetEnabled(false) makes Acquire allocate and
-// Recycle free — the bench's pooling-off baseline.
+// and delete).
 class RpcMessagePool {
  public:
-  static void SetEnabled(bool on);
-  static bool Enabled();
-
   // A message with refs == 2 (client + server), fields reset, buffers
   // retaining any recycled capacity.
   static RpcMessage* Acquire();
@@ -96,7 +92,7 @@ class RpcMessagePool {
   friend struct RpcMessage;
   static constexpr size_t kMaxPerThread = 64;
   // Called by the final Unref. Resets and shelves `msg`, or deletes it
-  // when the pool is disabled/full.
+  // when the pool is full.
   static void Recycle(RpcMessage* msg);
 };
 

@@ -25,3 +25,11 @@ Pod* ConstructAt(void* buf) {
 const char* Describe() {
   return "new Pod() and delete p inside a string literal";
 }
+
+// Identifiers that merely start with `delete` are not delete expressions.
+struct Mix {
+  double delete_fraction = 0.0;
+};
+bool WantsDelete(const Mix& m, double draw) {
+  return m.delete_fraction > 0.0 && draw < m.delete_fraction;
+}

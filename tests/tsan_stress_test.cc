@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/lock_rank.h"
+#include "common/math_util.h"
 #include "common/mpmc_queue.h"
 #include "common/random.h"
 #include "core/client.h"
@@ -134,7 +135,6 @@ TEST(TsanStressTest, AllocFreeChurnWithConcurrentCompaction) {
 // accesses — and must see no unsynchronized reuse, because an abandoned
 // message can only re-enter circulation from the thread that shelved it.
 TEST(TsanStressTest, MessagePoolRecycleVsAbandonedUnref) {
-  rdma::RpcMessagePool::SetEnabled(true);
   constexpr int kRounds = 20'000;
 
   MpmcQueue<rdma::RpcMessage*> ring(1024);
@@ -186,6 +186,25 @@ TEST(TsanStressTest, MessagePoolRecycleVsAbandonedUnref) {
   EXPECT_GT(abandoned, 0u);
   // Normal-path rounds recycled into this (client) thread's freelist.
   EXPECT_GT(rdma::RpcMessagePool::LocalFreeForTesting(), 0u);
+}
+
+// Two nodes' compaction planners evaluate the §3.4 probability model at the
+// same time. LogBinomial must keep no hidden global state between them:
+// std::lgamma writes glibc's `signgam` on every call, which TSan reports as
+// a race between the two threads.
+TEST(TsanStressTest, ConcurrentLogBinomial) {
+  constexpr uint64_t kIters = 2'000;
+  auto sum = [](double* out) {
+    double acc = 0;
+    for (uint64_t i = 0; i < kIters; ++i) acc += LogBinomial(1000 + i, i % 64);
+    *out = acc;
+  };
+  double a = 0, b = 0;
+  std::thread other(sum, &a);
+  sum(&b);
+  other.join();
+  EXPECT_GT(a, 0.0);
+  EXPECT_EQ(a, b);
 }
 
 }  // namespace

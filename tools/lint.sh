@@ -150,8 +150,10 @@ rule1_scan() {
       if (s ~ /(^|[^A-Za-z0-9_])new[ \t]+[A-Za-z_:][A-Za-z0-9_:<>, \t]*[({[]/) hit = 1
       # ... except nothrow placement, which does allocate.
       if (s ~ /(^|[^A-Za-z0-9_])new[ \t]*\([ \t]*(std[ \t]*::[ \t]*)?nothrow/) hit = 1
-      # delete / delete[] with the operand on the same line.
-      if (s ~ /(^|[^A-Za-z0-9_])delete[ \t]*(\[[ \t]*\])?[ \t]*[A-Za-z_*(]/) hit = 1
+      # delete / delete[] with the operand on the same line. An identifier
+      # operand must be set apart from `delete` by a blank or `[]`, so an
+      # identifier that merely starts with delete (delete_fraction) is silent.
+      if (s ~ /(^|[^A-Za-z0-9_])delete([ \t]*(\[[ \t]*\])?[ \t]*[*(]|([ \t]+|[ \t]*\[[ \t]*\][ \t]*)[A-Za-z_])/) hit = 1
       if (hit) { print NR }
       else if (s ~ /(^|[^A-Za-z0-9_])delete[ \t]*(\[[ \t]*\])?[ \t]*$/) {
         pending = 1; pending_line = NR
