@@ -109,10 +109,10 @@ class Context::OpTimer {
 // RPC operations (Table 2).
 // ---------------------------------------------------------------------------
 
-Result<GlobalAddr> Context::Alloc(size_t size) {
+Result<GlobalAddr> Context::Alloc(size_t size, Slice init) {
   OpTimer timer(this);
   rdma::RpcMessage* msg = rdma::RpcMessagePool::Acquire();
-  EncodeRequest(RpcOp::kAlloc, AllocRequest{size}, &msg->request);
+  EncodeRequest(RpcOp::kAlloc, AllocRequest{size}, &msg->request, init);
   // Any worker can allocate: stay on the client's home ring so load maps
   // to as few workers as there are active clients.
   CORM_RETURN_NOT_OK(RpcCallPooled(&msg, ring_));
@@ -673,51 +673,25 @@ Result<GlobalAddr> Context::Put(uint64_t key, const void* buf, size_t size) {
     }
   }
 
-  // Authoritative lookup; write in place when the key exists.
-  GlobalAddr addr;
-  Status lookup = IndexLookupRpc(key, &addr);
-  if (lookup.ok()) {
-    CORM_RETURN_NOT_OK(Write(&addr, buf, size));
-    hint_cache_[key] = addr;
-    return addr;
-  }
-  if (!lookup.IsNotFound()) return lookup;
-
-  // Fresh key: allocate and fill the object *before* publishing it, so a
-  // concurrent Get observes either NotFound or the complete value — never
-  // a half-written object behind a live entry.
-  auto fresh = Alloc(size);
-  CORM_RETURN_NOT_OK(fresh.status());
-  GlobalAddr obj = *fresh;
-  Status wst = Write(&obj, buf, size);
-  if (!wst.ok()) {
-    Free(&obj).ok();  // best effort: the value never became visible
-    return wst;
-  }
+  // One kIndexPut: for a fresh key the node allocates the object with the
+  // value already in it and publishes it, all in this RPC. A live key (or
+  // one whose insert race this Put lost) comes back with its object, and
+  // the value goes through the same bracketed Write as the hint path.
+  stats_.index_rpc_fallbacks++;
   rdma::RpcMessage* msg = rdma::RpcMessagePool::Acquire();
-  EncodeRequest(RpcOp::kIndexInsert, IndexInsertRequest{key, obj},
-                &msg->request);
-  Status ist = RpcCallPooled(&msg, ring_);
-  if (!ist.ok()) {
-    // The insert may or may not have landed (e.g. timeout after apply);
-    // leave the object allocated — an orphan is recoverable, a dangling
-    // entry to freed memory is not.
-    return ist;
-  }
-  IndexInsertResponse resp;
+  EncodeRequest(RpcOp::kIndexPut,
+                IndexPutRequest{key, static_cast<uint32_t>(size)},
+                &msg->request, Slice(static_cast<const char*>(buf), size));
+  CORM_RETURN_NOT_OK(RpcCallPooled(&msg, ring_));
+  IndexPutResponse resp;
   DecodeResponse(msg->response, &resp);
   msg->Unref();
+  GlobalAddr addr = resp.addr;
   if (resp.existed != 0) {
-    // Lost the publish race: write through the winner's object and retire
-    // ours.
-    Free(&obj).ok();
-    GlobalAddr winner = resp.addr;
-    CORM_RETURN_NOT_OK(Write(&winner, buf, size));
-    hint_cache_[key] = winner;
-    return winner;
+    CORM_RETURN_NOT_OK(Write(&addr, buf, size));
   }
-  hint_cache_[key] = resp.addr;
-  return resp.addr;
+  hint_cache_[key] = addr;
+  return addr;
 }
 
 Status Context::Del(uint64_t key) {
@@ -727,18 +701,12 @@ Status Context::Del(uint64_t key) {
   ++shard.index_lookups;
   hint_cache_.erase(key);
 
+  // One kIndexRemove: the node unlinks the key, then frees its object.
   rdma::RpcMessage* msg = rdma::RpcMessagePool::Acquire();
   EncodeRequest(RpcOp::kIndexRemove, IndexRemoveRequest{key}, &msg->request);
-  CORM_RETURN_NOT_OK(RpcCallPooled(&msg, ring_));
-  IndexRemoveResponse resp;
-  DecodeResponse(msg->response, &resp);
-  msg->Unref();
-  // The unlink happens before the free: a concurrent keyed lookup sees
-  // NotFound rather than a pointer into freed memory. The response pointer
-  // carries the owner hint, so this Free lands on the owning worker's ring
-  // without the forward hop.
-  GlobalAddr addr = resp.addr;
-  return Free(&addr);
+  Status st = RpcCallPooled(&msg, ring_);
+  if (msg != nullptr) msg->Unref();
+  return st;
 }
 
 }  // namespace corm::core

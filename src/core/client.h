@@ -94,7 +94,9 @@ class Context : public sync::SyncMedium {
   }
 
   // --- Table 2 API. ------------------------------------------------------
-  Result<GlobalAddr> Alloc(size_t size);
+  // `init` (at most `size` bytes) rides in the Alloc RPC: the object holds
+  // it from the moment it exists, with no Write RPC after.
+  Result<GlobalAddr> Alloc(size_t size, Slice init = {});
   Status Free(GlobalAddr* addr);
   Status Read(GlobalAddr* addr, void* buf, size_t size);
   Status Write(GlobalAddr* addr, const void* buf, size_t size);
@@ -125,12 +127,12 @@ class Context : public sync::SyncMedium {
   // objects.
   //
   // Inserts or overwrites the value for `key`; returns the object's
-  // pointer (also usable with the pointer API).
+  // pointer (also usable with the pointer API). One Write RPC with a cached
+  // hint; otherwise one kIndexPut, plus a Write when the key was live.
   Result<GlobalAddr> Put(uint64_t key, const void* buf, size_t size);
   // Reads the value for `key` into `buf`.
   Status Get(uint64_t key, void* buf, size_t size);
-  // Unlinks `key` and frees its object. The free is routed by the owner
-  // hint the kIndexRemove response stamps into the pointer's flag bits.
+  // Unlinks `key` and frees its object, in one kIndexRemove RPC.
   Status Del(uint64_t key);
 
   // --- Recovery policy helper (client behaviour in §4.3.2). --------------

@@ -23,13 +23,16 @@ enum class RpcOp : uint8_t {
   kWrite = 4,
   kReleasePtr = 5,
   // Keyed index operations (DESIGN.md §13). Lookup is the authoritative
-  // fallback behind the one-sided bucket probe; Insert/Remove are the
-  // node-side mutation path (bucket seqlock writers).
+  // fallback behind the one-sided bucket probe; Put/Remove are the
+  // node-side mutation path (bucket seqlock writers), each one RPC.
   kIndexLookup = 6,
-  kIndexInsert = 7,
+  kIndexPut = 7,
   kIndexRemove = 8,
 };
 
+// AllocRequest may be followed by up to `size` initial payload bytes: the
+// object holds them before its header is published, so no reader sees the
+// object without them.
 struct AllocRequest {
   uint64_t size;  // payload bytes the client wants
 };
@@ -86,25 +89,24 @@ struct IndexLookupResponse {
   GlobalAddr addr;
 };
 
-struct IndexInsertRequest {
+// IndexPutRequest is followed by `size` value bytes. A live key answers
+// with its object (`existed` = 1) and the client writes the value through
+// it; an absent key gets a fresh object holding the value, published under
+// the key in the same RPC (`existed` = 0).
+struct IndexPutRequest {
   uint64_t key;
-  GlobalAddr addr;
+  uint32_t size;
 };
 
-struct IndexInsertResponse {
-  GlobalAddr addr;     // canonical pointer the entry was minted with
-  uint8_t existed;     // 1: the key was already live; `addr` is the winner's
+struct IndexPutResponse {
+  GlobalAddr addr;  // canonical pointer of the object the key names
+  uint8_t existed;  // 1: the value still has to be written through `addr`
 };
 
+// Unlinks the key, then frees its object (forwarded to the owning worker
+// when another worker owns the block). The response carries no body.
 struct IndexRemoveRequest {
   uint64_t key;
-};
-
-struct IndexRemoveResponse {
-  // The unlinked object, corrected and stamped with the owning worker's
-  // ring hint (GlobalAddr flags bits 7..4): the client's follow-up Free
-  // lands directly on the owner's ring instead of taking the forward hop.
-  GlobalAddr addr;
 };
 
 // --- Encoding helpers. -----------------------------------------------------

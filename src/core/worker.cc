@@ -6,6 +6,7 @@
 
 #include "common/cpu_relax.h"
 #include "common/logging.h"
+#include "common/retry.h"
 #include "common/sanitizer.h"
 #include "common/thread_annotations.h"
 #include "core/compaction_engine.h"
@@ -42,21 +43,28 @@ void Worker::Send(WorkerMsg msg) {
 void Worker::Run() {
   node_->BindWorkerThread(id_);
   rdma::RpcMessage* batch[kPollBatch];
-  // Consecutive dry polls; reset by any work. Past kIdleYields the worker
-  // parks on its doorbell instead of re-entering the yield rotation.
-  uint32_t idle = 0;
+  // The current dry spell's spin budget, started by its first dry poll; any
+  // work ends the spell. A park does not: a wake that finds no work parks
+  // again at once instead of spinning a fresh budget.
+  bool dry = false;
+  Deadline spin(kSpinBeforeParkNs);
   // Run loop, not a completion wait: bounded by stop_. NOLINT(corm-spin-wait)
   while (!node_->stop_.load(std::memory_order_relaxed)) {
     if (PollOnce(batch)) {
-      idle = 0;
+      dry = false;
       continue;
     }
-    // Idle. A yield lets the threads we might be blocking run; once the dry
-    // spell outlasts kIdleYields, park. On an oversubscribed host this
-    // removes idle workers from the scheduler rotation that every RPC round
-    // trip must traverse — the single biggest hot-path cost on a few-core
-    // machine.
-    if (++idle <= kIdleYields) {
+    // Idle. Keep polling (CpuRelax yields, so the threads we might be
+    // blocking still run) until the budget is spent: a closed-loop client's
+    // next request lands within microseconds and finds us awake, with no
+    // futex wake on its path. Past the budget, park. On an oversubscribed
+    // host this removes idle workers from the scheduler rotation that every
+    // RPC round trip must traverse.
+    if (!dry) {
+      dry = true;
+      spin = Deadline(kSpinBeforeParkNs);
+    }
+    if (!spin.Expired()) {
       CpuRelax();
       continue;
     }
@@ -70,7 +78,7 @@ void Worker::Run() {
     if (node_->stop_.load(std::memory_order_relaxed) ||
         PollOnce(batch)) {
       doorbell_->Disarm();
-      idle = 0;
+      dry = false;
     } else {
       ++stats_.worker_parks;
       if (doorbell_->Wait(key, kParkTimeoutNs) == Doorbell::WaitResult::kRung) {
@@ -246,8 +254,8 @@ void Worker::HandleRpc(rdma::RpcMessage* rpc, bool forwarded) {
     case RpcOp::kIndexLookup:
       HandleIndexLookup(rpc);
       break;
-    case RpcOp::kIndexInsert:
-      HandleIndexInsert(rpc);
+    case RpcOp::kIndexPut:
+      HandleIndexPut(rpc);
       break;
     case RpcOp::kIndexRemove:
       HandleIndexRemove(rpc);
@@ -298,7 +306,7 @@ Result<uint16_t> Worker::DrawObjectId(alloc::Block* block) {
   return Status::Internal("object ID space exhausted in a compactable block");
 }
 
-Result<GlobalAddr> Worker::AllocObject(uint32_t payload_size) {
+Result<GlobalAddr> Worker::AllocObject(uint32_t payload_size, Slice init) {
   auto class_idx = node_->ClassForPayload(payload_size);
   CORM_RETURN_NOT_OK(class_idx.status());
 
@@ -324,9 +332,10 @@ Result<GlobalAddr> Worker::AllocObject(uint32_t payload_size) {
   h.class_idx = static_cast<uint8_t>(block->class_idx() & 0x3f);
   h.obj_id = *id;
   h.home_page = HomePageOf(block->base());
-  // Stamp the consistency metadata before publishing the header.
-  WritePayload(ptr, block->slot_size(), h.version, nullptr, 0,
-               node_->config().consistency);
+  // Stamp the initial payload and the consistency metadata before
+  // publishing the header.
+  WritePayload(ptr, block->slot_size(), h.version, init.udata(),
+               static_cast<uint32_t>(init.size()), node_->config().consistency);
   StoreHeaderWord(ptr, h.Pack());
 
   node_->vaddr_tracker_.OnAlloc(block->base());
@@ -344,11 +353,18 @@ Result<GlobalAddr> Worker::AllocObject(uint32_t payload_size) {
 
 void Worker::HandleAlloc(rdma::RpcMessage* rpc) {
   AllocRequest req;
-  DecodeRequest(rpc->request, &req);
+  const Slice init = DecodeRequest(rpc->request, &req);
   ++stats_.rpc_allocs;
+  if (req.size > UINT32_MAX || init.size() > req.size) {
+    Complete(rpc, Status::InvalidArgument("bad Alloc size"));
+    return;
+  }
   rpc->server_extra_ns = 0;
   Charge(rpc, node_->latency_model().AllocExtraNs());
-  auto addr = AllocObject(static_cast<uint32_t>(req.size));
+  if (!init.empty()) {
+    Charge(rpc, node_->latency_model().WriteLockHoldNs(init.size()));
+  }
+  auto addr = AllocObject(static_cast<uint32_t>(req.size), init);
   if (!addr.ok()) {
     Complete(rpc, addr.status());
     return;
@@ -961,6 +977,30 @@ void Worker::HandleReleasePtr(rdma::RpcMessage* rpc) {
 // Keyed index operations (DESIGN.md §13).
 // ---------------------------------------------------------------------------
 
+Result<GlobalAddr> Worker::ResolveIndexEntry(uint64_t key,
+                                             const index::IndexEntry& entry) {
+  index::IndexTable* table = node_->index_view();
+  auto resolved = ResolveObject(entry.addr);
+  if (!resolved.ok()) {
+    // The entry outlived its object (block released under it). Unlink it so
+    // later one-sided probes stop chasing the dangling hint.
+    if (table->Remove(key)) ++stats_.index_repairs;
+    return Status::NotFound("index entry outlived its object");
+  }
+  const GlobalAddr canonical =
+      CorrectedAddr(entry.addr, *resolved, resolved->block->slot_size());
+  const bool fenced =
+      entry.fence_epoch != static_cast<uint16_t>(table->Epoch());
+  if (fenced || canonical.vaddr != entry.addr.vaddr ||
+      canonical.flags != entry.addr.flags) {
+    // Self-healing repair: re-mint the entry with the corrected pointer,
+    // the live owner hint, and the current epoch, so the next one-sided
+    // probe hits without falling back here again.
+    if (table->Repair(key, canonical)) ++stats_.index_repairs;
+  }
+  return canonical;
+}
+
 void Worker::HandleIndexLookup(rdma::RpcMessage* rpc) {
   IndexLookupRequest req;
   DecodeRequest(rpc->request, &req);
@@ -974,55 +1014,67 @@ void Worker::HandleIndexLookup(rdma::RpcMessage* rpc) {
     Complete(rpc, Status::NotFound("key not in index"));
     return;
   }
-  auto resolved = ResolveObject(entry.addr);
-  if (!resolved.ok()) {
-    // The entry outlived its object (block released under it). Unlink it so
-    // later one-sided probes stop chasing the dangling hint.
-    if (node_->index_view()->Remove(req.key)) ++stats_.index_repairs;
-    Complete(rpc, Status::NotFound("index entry outlived its object"));
+  auto canonical = ResolveIndexEntry(req.key, entry);
+  if (!canonical.ok()) {
+    Complete(rpc, canonical.status());
     return;
   }
-  const GlobalAddr canonical =
-      CorrectedAddr(entry.addr, *resolved, resolved->block->slot_size());
-  const bool fenced =
-      entry.fence_epoch != static_cast<uint16_t>(node_->index_view()->Epoch());
-  if (fenced || canonical.vaddr != entry.addr.vaddr ||
-      canonical.flags != entry.addr.flags) {
-    // Self-healing repair: re-mint the entry with the corrected pointer,
-    // the live owner hint, and the current epoch, so the next one-sided
-    // probe hits without falling back here again.
-    if (node_->index_view()->Repair(req.key, canonical)) {
-      ++stats_.index_repairs;
-    }
-  }
-  EncodeResponse(IndexLookupResponse{canonical}, &rpc->response);
+  EncodeResponse(IndexLookupResponse{*canonical}, &rpc->response);
   Complete(rpc, Status::OK());
 }
 
-void Worker::HandleIndexInsert(rdma::RpcMessage* rpc) {
-  IndexInsertRequest req;
-  DecodeRequest(rpc->request, &req);
-
-  auto resolved = ResolveObject(req.addr);
-  if (!resolved.ok()) {
-    Complete(rpc, resolved.status());
+void Worker::HandleIndexPut(rdma::RpcMessage* rpc) {
+  IndexPutRequest req;
+  const Slice value = DecodeRequest(rpc->request, &req);
+  if (value.size() != req.size) {
+    Complete(rpc, Status::InvalidArgument("Put value size mismatch"));
     return;
   }
-  const GlobalAddr canonical =
-      CorrectedAddr(req.addr, *resolved, resolved->block->slot_size());
-  IndexInsertResponse resp;
+  // A Put without a cached hint resolves the key here: the same fallback a
+  // kIndexLookup counts.
+  ++stats_.index_rpc_fallbacks;
+  index::IndexTable* table = node_->index_view();
+
+  IndexPutResponse resp;
+  resp.existed = 1;
+  index::IndexEntry entry;
+  if (table->Lookup(req.key, &entry)) {
+    auto live = ResolveIndexEntry(req.key, entry);
+    if (live.ok()) {
+      resp.addr = *live;
+      EncodeResponse(resp, &rpc->response);
+      Complete(rpc, Status::OK());
+      return;
+    }
+  }
+
+  // Fresh key: the object holds the value before the entry publishes it,
+  // so a concurrent Get observes either NotFound or the complete value —
+  // never a half-written object behind a live entry.
+  Charge(rpc, node_->latency_model().AllocExtraNs() +
+                  node_->latency_model().WriteLockHoldNs(req.size));
+  auto fresh = AllocObject(req.size, value);
+  if (!fresh.ok()) {
+    Complete(rpc, fresh.status());
+    return;
+  }
   GlobalAddr existing;
-  Status st = node_->index_view()->Insert(req.key, canonical, &existing);
-  if (st.code() == StatusCode::kAlreadyExists) {
-    // Publish race: the entry is live and points at the winner's object.
-    resp.addr = existing;
-    resp.existed = 1;
-  } else if (st.ok()) {
-    resp.addr = canonical;
+  Status st = table->Insert(req.key, *fresh, &existing);
+  if (st.ok()) {
+    resp.addr = *fresh;
     resp.existed = 0;
   } else {
-    Complete(rpc, st);  // bucket pair full or lock timeout
-    return;
+    // Lost the publish race, or the bucket pair is full (or its lock timed
+    // out): the object never became visible, so retire it here. This
+    // worker allocated it and has not yielded its block since.
+    auto mine = ResolveObject(*fresh);
+    CORM_CHECK(mine.ok());
+    CORM_CHECK(FreeResolved(*mine).ok());
+    if (st.code() != StatusCode::kAlreadyExists) {
+      Complete(rpc, std::move(st));
+      return;
+    }
+    resp.addr = existing;  // the client writes through the winner's object
   }
   EncodeResponse(resp, &rpc->response);
   Complete(rpc, Status::OK());
@@ -1032,22 +1084,18 @@ void Worker::HandleIndexRemove(rdma::RpcMessage* rpc) {
   IndexRemoveRequest req;
   DecodeRequest(rpc->request, &req);
 
+  // Unlink before free: a concurrent keyed lookup sees NotFound rather than
+  // a pointer into freed memory.
   index::IndexEntry entry;
-  if (!node_->index_view()->Lookup(req.key, &entry)) {
+  if (!node_->index_view()->Remove(req.key, &entry)) {
     Complete(rpc, Status::NotFound("key not in index"));
     return;
   }
-  // Correct the pointer before unlinking so the response carries the owning
-  // worker's ring hint (GlobalAddr flags bits 7..4) and the client's
-  // follow-up Free routes straight to the owner's ring. A failed resolve
-  // still unlinks: the entry is dead weight either way.
-  GlobalAddr out = entry.addr;
-  if (auto resolved = ResolveObject(entry.addr); resolved.ok()) {
-    out = CorrectedAddr(entry.addr, *resolved, resolved->block->slot_size());
-  }
-  node_->index_view()->Remove(req.key);
-  EncodeResponse(IndexRemoveResponse{out}, &rpc->response);
-  Complete(rpc, Status::OK());
+  // The same message becomes the Free of the unlinked object: HandleFree
+  // frees it in place when this worker owns the block, else forwards it to
+  // the owner over the kForwardedRpc hop.
+  EncodeRequest(RpcOp::kFree, FreeRequest{entry.addr}, &rpc->request);
+  HandleFree(rpc, /*forwarded=*/false);
 }
 
 // ---------------------------------------------------------------------------
@@ -1058,24 +1106,16 @@ void Worker::HandleBulk(BulkRequest* req) {
   if (req->is_alloc) {
     // Bulk loader: benchmark/test path, bypasses the RPC wire entirely.
     req->out_addrs.reserve(req->count);  // NOLINT(corm-hotpath-alloc)
+    Buffer pattern(req->payload_size);
     for (size_t i = 0; i < req->count; ++i) {
-      auto addr = AllocObject(req->payload_size);
+      // Deterministic payload for later verification.
+      PatternFill(req->index_base + i, pattern.data(), req->payload_size);
+      auto addr =
+          AllocObject(req->payload_size, Slice(pattern.data(), pattern.size()));
       if (!addr.ok()) {
         req->status = addr.status();
         break;
       }
-      // Deterministic payload for later verification.
-      const sim::VAddr base =
-          BlockBaseOf(addr->vaddr, node_->block_bytes());
-      const CormNode::DirectoryEntry entry = LookupBlockCached(base);
-      alloc::Block* block = entry.block;
-      uint8_t* ptr = SlotPtr(base, block, block->SlotFor(addr->vaddr));
-      Buffer pattern(req->payload_size);
-      PatternFill(req->index_base + i, pattern.data(),
-                  static_cast<uint32_t>(pattern.size()));
-      WritePayload(ptr, block->slot_size(), /*version=*/1, pattern.data(),
-                   static_cast<uint32_t>(pattern.size()),
-                   node_->config().consistency);
       req->out_addrs.push_back(*addr);  // NOLINT(corm-hotpath-alloc) bulk path
     }
   } else {

@@ -24,6 +24,7 @@
 #include "core/addr.h"
 #include "core/corm_node.h"
 #include "core/rpc_protocol.h"
+#include "index/index_table.h"
 #include "rdma/rpc_transport.h"
 
 namespace corm::core {
@@ -118,7 +119,8 @@ class Worker {
   // worker's own RPC ring in batches (stealing only from rings whose owner
   // worker is parked) and interleaves inbox messages between batch items so
   // correction queries are never starved behind a long batch. An idle
-  // worker parks on its ring's doorbell until a producer rings it.
+  // worker keeps polling for kSpinBeforeParkNs, then parks on its ring's
+  // doorbell until a producer rings it.
   void Run();
 
   // Enqueues a message (any thread) and rings the worker's doorbell. Spins
@@ -160,13 +162,22 @@ class Worker {
   void HandleReleasePtr(rdma::RpcMessage* rpc);
 
   // --- Keyed index operations (DESIGN.md §13). ----------------------------
-  // Authoritative lookup behind the one-sided bucket probe. Resolves the
-  // stored hint through ResolveObject and self-heals the bucket entry
-  // (fresh pointer + owner hint + current epoch) when it was stale or
-  // fenced, so RPC fallbacks repair the one-sided path as a side effect.
+  // Authoritative lookup behind the one-sided bucket probe.
   void HandleIndexLookup(rdma::RpcMessage* rpc);
-  void HandleIndexInsert(rdma::RpcMessage* rpc);
+  // Fresh key: allocates the object with the value already in it and
+  // publishes it under the key. Live key: returns its object for the
+  // client's bracketed Write.
+  void HandleIndexPut(rdma::RpcMessage* rpc);
+  // Unlinks the key, then frees its object through HandleFree (in place,
+  // or forwarded to the owning worker).
   void HandleIndexRemove(rdma::RpcMessage* rpc);
+  // Resolves a live entry's stored hint through ResolveObject and
+  // self-heals the bucket entry (fresh pointer + owner hint + current
+  // epoch) when it was stale or fenced, so RPC fallbacks repair the
+  // one-sided path as a side effect. An entry that outlived its object is
+  // unlinked and reported NotFound.
+  Result<GlobalAddr> ResolveIndexEntry(uint64_t key,
+                                       const index::IndexEntry& entry);
 
   // --- Replicated-log apply path (DESIGN.md §11). ------------------------
   // Drains up to kReplApplyBatch in-sequence records from every ingress
@@ -196,8 +207,10 @@ class Worker {
   // Looks up an object ID in a block this worker owns.
   Result<uint32_t> OwnerLookup(const alloc::Block* block, uint16_t obj_id);
 
-  // Allocates one object; returns its address. Used by RPC + bulk paths.
-  Result<GlobalAddr> AllocObject(uint32_t payload_size);
+  // Allocates one object; returns its address. `init` (at most
+  // `payload_size` bytes) is stamped into the payload before the header is
+  // published. Used by RPC + bulk paths.
+  Result<GlobalAddr> AllocObject(uint32_t payload_size, Slice init);
   // Frees a resolved object (this worker must own the block).
   Status FreeResolved(const Resolved& r);
 
@@ -244,8 +257,11 @@ class Worker {
   static constexpr int kReplApplyBatch = 16;
   // Random ID draws before DrawObjectId falls back to scanning.
   static constexpr int kIdRandomDraws = 32;
-  // Dry polls an idle worker yields through before parking on its doorbell.
-  static constexpr uint32_t kIdleYields = 4;
+  // How long an idle worker keeps polling before it parks on its doorbell.
+  // A request that finds its worker still spinning skips the futex wake; a
+  // closed-loop client's next RPC arrives within a few microseconds, so
+  // this budget keeps the worker awake between them (DESIGN.md §7.3).
+  static constexpr uint64_t kSpinBeforeParkNs = 50'000;
   // Cap on one doorbell sleep. A safety net only: every producer of worker
   // work rings, so under load a park ends on a ring, not on this.
   static constexpr uint64_t kParkTimeoutNs = 1'000'000;

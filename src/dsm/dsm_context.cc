@@ -46,7 +46,8 @@ Result<core::GlobalAddr> DsmContext::Alloc(size_t size) {
   return AllocOn(cluster_->PickNode(), size);
 }
 
-Result<core::GlobalAddr> DsmContext::AllocOn(int node, size_t size) {
+Result<core::GlobalAddr> DsmContext::AllocOn(int node, size_t size,
+                                             Slice init) {
   if (node < 0 || node >= cluster_->num_nodes()) {
     return Status::InvalidArgument("bad node index");
   }
@@ -55,7 +56,7 @@ Result<core::GlobalAddr> DsmContext::AllocOn(int node, size_t size) {
     return Status::NetworkError("node " + std::to_string(node) +
                                 " unreachable");
   }
-  auto addr = contexts_[node]->Alloc(size);
+  auto addr = contexts_[node]->Alloc(size, init);
   CORM_RETURN_NOT_OK(Observe(node, addr.status()));
   SetNode(&*addr, node);
   return *addr;

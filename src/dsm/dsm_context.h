@@ -27,8 +27,9 @@ class DsmContext {
 
   // Allocates on a node chosen by the cluster's placement policy.
   Result<core::GlobalAddr> Alloc(size_t size);
-  // Allocates on a specific node (replication and co-location want this).
-  Result<core::GlobalAddr> AllocOn(int node, size_t size);
+  // Allocates on a specific node (replication and co-location want this);
+  // `init` rides in the Alloc RPC (core::Context::Alloc).
+  Result<core::GlobalAddr> AllocOn(int node, size_t size, Slice init = {});
 
   Status Free(core::GlobalAddr* addr);
   Status Read(core::GlobalAddr* addr, void* buf, size_t size);

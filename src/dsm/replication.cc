@@ -132,6 +132,11 @@ Status ReplicatedContext::ShipImage(rdma::ReplicaLogShipper* shipper,
 Result<ReplicatedAddr> ReplicatedContext::Alloc(size_t size) {
   ReplicatedAddr addr;
   addr.size = static_cast<uint32_t>(size);
+  // Every replica is born holding a well-formed empty image (epoch 1,
+  // version 0), carried in its Alloc RPC, so appliers and readers always
+  // parse a valid stored header — a raw slot would make the first epoch
+  // fence and the first read-validation undefined.
+  BuildImage(&image_scratch_, addr.epoch, 0, nullptr, 0);
   std::set<int> used;
   const FailureDetector& detector = *dsm_.cluster()->failure_detector();
   // Place each replica on a distinct node the detector trusts.
@@ -151,25 +156,14 @@ Result<ReplicatedAddr> ReplicatedContext::Alloc(size_t size) {
       return Status::NetworkError("not enough live nodes for replication");
     }
     used.insert(node);
-    auto replica = dsm_.AllocOn(node, size + sizeof(rdma::ReplObjectHeader));
+    auto replica = dsm_.AllocOn(node, size + sizeof(rdma::ReplObjectHeader),
+                                Slice(image_scratch_.data(),
+                                      image_scratch_.size()));
     if (!replica.ok()) {
       for (auto& r2 : addr.replicas) dsm_.Free(&r2).ok();
       return replica.status();
     }
     addr.replicas.push_back(*replica);
-  }
-  // Initialize every replica with a well-formed empty image (epoch 1,
-  // version 0) so appliers and readers always parse a valid stored header —
-  // a raw slot would make the first epoch fence and the first
-  // read-validation undefined.
-  BuildImage(&image_scratch_, addr.epoch, 0, nullptr, 0);
-  for (auto& replica : addr.replicas) {
-    Status st =
-        dsm_.Write(&replica, image_scratch_.data(), image_scratch_.size());
-    if (!st.ok()) {
-      for (auto& r2 : addr.replicas) dsm_.Free(&r2).ok();
-      return st;
-    }
   }
   return addr;
 }

@@ -121,13 +121,8 @@ Status IndexTable::Insert(uint64_t key, const core::GlobalAddr& addr,
   next.fence_epoch = static_cast<uint16_t>(Epoch());
   next.state = IndexEntry::kLive;
   if (target != nullptr) {
-    if (existing != nullptr) {
-      *existing = target->entries[slot].addr;
-      st = Status::AlreadyExists("key already indexed");
-    } else {
-      next.hint_version = target->entries[slot].hint_version + 1;
-      StoreEntry(&target->entries[slot], next);
-    }
+    *existing = target->entries[slot].addr;
+    st = Status::AlreadyExists("key already indexed");
   } else {
     for (IndexBucket* b : {b1, b2}) {
       for (size_t s = 0; s < kEntriesPerBucket && target == nullptr; ++s) {
@@ -152,21 +147,24 @@ Status IndexTable::Insert(uint64_t key, const core::GlobalAddr& addr,
   return st;
 }
 
-bool IndexTable::Remove(uint64_t key) {
+bool IndexTable::Remove(uint64_t key, IndexEntry* removed) {
   IndexBucket* b1 = Bucket(BucketOf(key, buckets_));
   IndexBucket* b2 = Bucket(AltBucketOf(key, buckets_));
-  bool removed = false;
+  bool found = false;
   for (IndexBucket* b : {b1, b2}) {
     if (!LockBucket(b)) return false;
     const int slot = FindSlot(b, key);
     if (slot >= 0) {
+      if (removed != nullptr) {
+        RacyCopy(removed, &b->entries[slot], sizeof(IndexEntry));
+      }
       StoreEntry(&b->entries[slot], IndexEntry{});
-      removed = true;
+      found = true;
     }
     UnlockBucket(b);
-    if (removed || b1 == b2) break;
+    if (found || b1 == b2) break;
   }
-  return removed;
+  return found;
 }
 
 bool IndexTable::Lookup(uint64_t key, IndexEntry* out) const {

@@ -3,7 +3,7 @@
 // registered for one-sided access like the sync-lock table); IndexTable is
 // a view that implements the seqlocked mutation protocol over it.
 //
-// Writers (RPC workers serving kIndexInsert/Remove/Lookup-repair, and the
+// Writers (RPC workers serving kIndexPut/Remove/Lookup-repair, and the
 // compaction engine's IndexRepair sub-phase) serialize per bucket through
 // the bucket's seq word: CAS even→odd, mutate, release odd→even. Holds are
 // a single 32-byte entry rewrite, so contention is momentary — but every
@@ -38,18 +38,19 @@ class IndexTable {
   uint64_t Epoch() const;
   uint64_t SealEpoch(uint64_t* fenced_live_entries);
 
-  // Inserts or overwrites the entry for `key`. A new entry is minted under
-  // the current epoch. kOutOfMemory when both candidate buckets are full:
-  // the table is the authoritative key→pointer map, so silent eviction
-  // would orphan an object. With `existing` non-null the insert is
-  // insert-if-absent: a live entry is left untouched, its pointer lands in
-  // *existing, and the status is kAlreadyExists — the publish race arbiter
-  // two concurrent Puts of a fresh key settle through.
+  // Inserts the entry for `key` if it is absent, minted under the current
+  // epoch. A live entry is left untouched, its pointer lands in *existing,
+  // and the status is kAlreadyExists — the publish race arbiter two
+  // concurrent Puts of a fresh key settle through. kOutOfMemory when both
+  // candidate buckets are full: the table is the authoritative key→pointer
+  // map, so silent eviction would orphan an object.
   Status Insert(uint64_t key, const core::GlobalAddr& addr,
-                core::GlobalAddr* existing = nullptr);
+                core::GlobalAddr* existing);
 
-  // Removes the entry for `key`; false when absent.
-  bool Remove(uint64_t key);
+  // Removes the entry for `key`; false when absent. With `removed` non-null
+  // the unlinked entry lands there, read under the same bucket lock as the
+  // unlink, so the caller frees exactly the object it detached.
+  bool Remove(uint64_t key, IndexEntry* removed = nullptr);
 
   // Node-side exact lookup (the RPC fallback path). Returns the raw entry,
   // fenced or not — the caller decides whether to repair it.

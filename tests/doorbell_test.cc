@@ -8,6 +8,8 @@
 //    replicated-log record, ResumeService after PauseService — must reach a
 //    *sleeping* worker through a ring, so the park ends on the ring
 //    (worker_park_wakes) instead of waiting out the park cap.
+//  * the spin budget: a worker kept busy by short request gaps stays awake
+//    instead of parking once per request.
 
 #include <gtest/gtest.h>
 
@@ -196,6 +198,27 @@ TEST(WorkerParkTest, ResumeServiceWakesSleepingWorker) {
         EXPECT_TRUE(status.ok()) << status.ToString();
       },
       queue_request));
+}
+
+// A closed-loop client's next request comes microseconds after the last
+// reply. The worker's spin budget (Worker::kSpinBeforeParkNs) keeps it
+// awake across such gaps instead of parking, and paying a wake, per RPC.
+TEST(WorkerParkTest, WorkerStaysAwakeAcrossShortRequestGaps) {
+  core::CormNode node(OneWorker());
+  auto ctx = core::Context::Create(&node);
+  auto addr = ctx->Alloc(64);
+  ASSERT_TRUE(addr.ok());
+  std::vector<uint8_t> buf(64, 5);
+  constexpr uint64_t kRpcs = 1000;
+  const uint64_t parks = node.stats().worker_parks;
+  for (uint64_t i = 0; i < kRpcs; ++i) {
+    ASSERT_TRUE(ctx->Write(&*addr, buf.data(), buf.size()).ok());
+    const auto gap_end =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(2);
+    while (std::chrono::steady_clock::now() < gap_end) {
+    }
+  }
+  EXPECT_LT(node.stats().worker_parks - parks, kRpcs / 2);
 }
 
 TEST(WorkerParkTest, ReplicatedLogRecordWakesSleepingBackup) {

@@ -144,14 +144,37 @@ TEST(DsmTest, DeadNodeOperationsFailWithNetworkError) {
 
 // --- Replication ------------------------------------------------------------
 
+// Sum of RPCs the context's per-node clients have issued.
+uint64_t RpcCalls(DsmContext* dsm) {
+  uint64_t calls = 0;
+  for (int n = 0; n < dsm->cluster()->num_nodes(); ++n) {
+    calls += dsm->context(n)->stats().rpc_calls;
+  }
+  return calls;
+}
+
 TEST(ReplicationTest, ReplicasLandOnDistinctNodes) {
   Cluster cluster(SmallCluster(3));
   ReplicatedContext rctx(&cluster, 3);
+  const uint64_t calls = RpcCalls(rctx.dsm());
   auto addr = rctx.Alloc(56);
   ASSERT_TRUE(addr.ok());
+  // Each replica's empty image rides in its Alloc RPC: k RPCs in all.
+  EXPECT_EQ(RpcCalls(rctx.dsm()) - calls, 3u);
   std::set<int> nodes;
-  for (const auto& replica : addr->replicas) nodes.insert(NodeOf(replica));
+  for (auto& replica : addr->replicas) {
+    nodes.insert(NodeOf(replica));
+    // Every replica holds the well-formed empty image from birth.
+    rdma::ReplObjectHeader h;
+    ASSERT_TRUE(rctx.dsm()->Read(&replica, &h, sizeof(h)).ok());
+    EXPECT_EQ(h.epoch, addr->epoch);
+    EXPECT_EQ(h.version, 0u);
+    EXPECT_EQ(h.len, 0u);
+    EXPECT_TRUE(rdma::ReplObjectValid(h, nullptr));
+  }
   EXPECT_EQ(nodes.size(), 3u);
+  std::vector<uint8_t> out(56);
+  EXPECT_TRUE(rctx.Read(&*addr, out.data(), out.size()).ok());
   EXPECT_TRUE(rctx.Free(&*addr).ok());
 }
 

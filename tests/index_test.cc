@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -52,6 +53,16 @@ Context::Options ShortDeadlines() {
   opts.recovery_retry.deadline_ns = 40'000'000;
 #endif
   return opts;
+}
+
+// Live objects across the node's allocators (a refused or lost-race Put
+// that kept its object would show here as one too many).
+uint64_t LiveObjects(CormNode* node) {
+  uint64_t live = 0;
+  for (const auto& cf : node->Fragmentation()) {
+    live += cf.used_bytes / node->classes().ClassSize(cf.class_idx);
+  }
+  return live;
 }
 
 // Outcomes a keyed op may legally produce while racing compaction or a
@@ -429,6 +440,146 @@ TEST(IndexTest, ConcurrentKeyedDriversStayConsistent) {
     EXPECT_EQ(r.not_found, 0u);  // disjoint key spaces, Del always re-Puts
   }
   EXPECT_EQ(ops, static_cast<uint64_t>(kThreads) * kOps);
+  EXPECT_TRUE(node.Audit().ok());
+}
+
+// --- Keyed writes are one RPC each. ----------------------------------------
+
+TEST(IndexTest, KeyedWritesTakeOneRpc) {
+  CormNode node(BaseConfig());
+  auto ctx = Context::Create(&node);
+  std::vector<uint8_t> buf(kValue), out(kValue);
+  auto rpcs_of = [](const Context& c, auto&& op) {
+    const uint64_t before = c.stats().rpc_calls;
+    op();
+    return c.stats().rpc_calls - before;
+  };
+
+  // Fresh key: one kIndexPut allocates, fills and publishes the object.
+  workload::FillValue(5, buf.data(), kValue);
+  EXPECT_EQ(rpcs_of(*ctx, [&] {
+              ASSERT_TRUE(ctx->Put(5, buf.data(), kValue).ok());
+            }),
+            1u);
+  EXPECT_EQ(LiveObjects(&node), 1u);
+  // Cached hint: one Write.
+  EXPECT_EQ(rpcs_of(*ctx, [&] {
+              ASSERT_TRUE(ctx->Put(5, buf.data(), kValue).ok());
+            }),
+            1u);
+
+  // Cold context on a live key: kIndexPut returns the object, then the
+  // value goes through one Write.
+  auto cold = Context::Create(&node);
+  workload::FillValue(6, buf.data(), kValue);
+  EXPECT_EQ(rpcs_of(*cold, [&] {
+              ASSERT_TRUE(cold->Put(5, buf.data(), kValue).ok());
+            }),
+            2u);
+  EXPECT_EQ(LiveObjects(&node), 1u);
+  ASSERT_TRUE(ctx->Get(5, out.data(), kValue).ok());
+  EXPECT_TRUE(workload::CheckValue(6, out.data(), kValue));
+
+  // Del: one kIndexRemove unlinks and frees.
+  EXPECT_EQ(rpcs_of(*ctx, [&] { ASSERT_TRUE(ctx->Del(5).ok()); }), 1u);
+  EXPECT_EQ(LiveObjects(&node), 0u);
+  EXPECT_EQ(cold->Get(5, out.data(), kValue).code(), StatusCode::kNotFound);
+  EXPECT_TRUE(node.Audit().ok());
+}
+
+// A Put the index refuses (bucket pair full) frees the object the node
+// allocated for it: live objects stay equal to the accepted keys.
+TEST(IndexTest, RefusedPutLeavesNoOrphan) {
+  CormConfig config = BaseConfig();
+  config.index_buckets = 4;  // 16 entries in all
+  CormNode node(config);
+  auto ctx = Context::Create(&node);
+  std::vector<uint8_t> buf(kValue), out(kValue);
+  uint64_t accepted = 0;
+  uint64_t refused = 0;
+  for (uint64_t k = 0; k < 256 && refused < 8; ++k) {
+    workload::FillValue(k, buf.data(), kValue);
+    auto addr = ctx->Put(k, buf.data(), kValue);
+    if (addr.status().code() == StatusCode::kOutOfMemory) {
+      ++refused;
+      EXPECT_EQ(ctx->Get(k, out.data(), kValue).code(),
+                StatusCode::kNotFound);
+      continue;
+    }
+    ASSERT_TRUE(addr.ok()) << addr.status();
+    ++accepted;
+  }
+  ASSERT_GT(refused, 0u);
+  EXPECT_EQ(LiveObjects(&node), accepted);
+  EXPECT_TRUE(node.Audit().ok());
+}
+
+// A Del served by a worker that does not own the object's block hands the
+// free to the owner over the forwarded-RPC hop.
+TEST(IndexTest, DelOfAnotherWorkersObjectForwardsTheFree) {
+  CormNode node(BaseConfig());
+  // Consecutive contexts land on different RPC rings.
+  auto a = Context::Create(&node);
+  auto b = Context::Create(&node);
+  const uint64_t baseline = LiveObjects(&node);
+  std::vector<uint8_t> buf(kValue);
+  bool forwarded = false;
+  for (uint64_t attempt = 0; attempt < 40 && !forwarded; ++attempt) {
+    const uint64_t key = 500 + attempt;
+    workload::FillValue(key, buf.data(), kValue);
+    ASSERT_TRUE(a->Put(key, buf.data(), kValue).ok());
+    // Let both workers fall asleep, so the worker of the ring the Del lands
+    // on serves it rather than the owner stealing it. Alternating deleters
+    // puts the Del on the non-owner's ring in half of the attempts.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    Context* deleter = attempt % 2 == 0 ? b.get() : a.get();
+    const uint64_t before = node.stats().forwarded_ops;
+    ASSERT_TRUE(deleter->Del(key).ok());
+    const uint64_t hops = node.stats().forwarded_ops - before;
+    EXPECT_LE(hops, 1u);
+    EXPECT_EQ(LiveObjects(&node), baseline);
+    forwarded = hops == 1;
+  }
+  EXPECT_TRUE(forwarded);
+  EXPECT_TRUE(node.Audit().ok());
+}
+
+// Two contexts race a Put of the same fresh key: both succeed, one object
+// survives, and it holds one of the two values.
+TEST(IndexTest, RacingFreshPutsOfOneKeyKeepOneObject) {
+  CormNode node(BaseConfig());
+  auto a = Context::Create(&node, ShortDeadlines());
+  auto b = Context::Create(&node, ShortDeadlines());
+#ifdef CORM_TSAN_ENABLED
+  constexpr uint64_t kRounds = 20;
+#else
+  constexpr uint64_t kRounds = 100;
+#endif
+  std::vector<uint8_t> va(kValue), vb(kValue), out(kValue);
+  for (uint64_t round = 0; round < kRounds; ++round) {
+    const uint64_t key = 1000 + round;
+    workload::FillValue(2 * key, va.data(), kValue);
+    workload::FillValue(2 * key + 1, vb.data(), kValue);
+    std::atomic<int> ready{0};
+    auto start = [&ready] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+    };
+    Status sb;
+    std::thread racer([&] {
+      start();
+      sb = b->Put(key, vb.data(), kValue).status();
+    });
+    start();
+    const Status sa = a->Put(key, va.data(), kValue).status();
+    racer.join();
+    ASSERT_TRUE(sa.ok()) << sa;
+    ASSERT_TRUE(sb.ok()) << sb;
+    EXPECT_EQ(LiveObjects(&node), round + 1);
+    ASSERT_TRUE(a->Get(key, out.data(), kValue).ok());
+    EXPECT_TRUE(workload::CheckValue(2 * key, out.data(), kValue) ||
+                workload::CheckValue(2 * key + 1, out.data(), kValue));
+  }
   EXPECT_TRUE(node.Audit().ok());
 }
 
