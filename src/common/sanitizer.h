@@ -101,6 +101,22 @@ CORM_NO_SANITIZE_THREAD inline void RacyCopy(void* dst, const void* src,
 #endif
 }
 
+// Compares bytes that may race with a concurrent writer (the re-read half
+// of a double-collect snapshot); same TSan treatment as RacyCopy.
+CORM_NO_SANITIZE_THREAD inline bool RacyEqual(const void* a, const void* b,
+                                              size_t n) {
+#ifdef CORM_TSAN_ENABLED
+  const auto* x = static_cast<const volatile unsigned char*>(a);
+  const auto* y = static_cast<const volatile unsigned char*>(b);
+  for (size_t i = 0; i < n; ++i) {
+    if (x[i] != y[i]) return false;
+  }
+  return true;
+#else
+  return std::memcmp(a, b, n) == 0;
+#endif
+}
+
 }  // namespace corm
 
 // --- Runtime invariant audits (CORM_AUDIT). -------------------------------

@@ -355,6 +355,7 @@ Status Context::LockCas(rdma::RKey r_key, sim::VAddr vaddr, uint64_t expected,
   if (options_.local) {
     // Colocated: CPU CAS on the mapped word — globally coherent with
     // remote RNIC atomics (IBV_ATOMIC_GLOB, see Rnic::MttAtomic).
+    sim::FrameEpoch::Guard epoch;
     uint8_t* p = node_->rnic()->address_space()->TranslatePtr(vaddr);
     uint64_t e = expected;
     std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(p))
@@ -377,6 +378,7 @@ Status Context::LockCas(rdma::RKey r_key, sim::VAddr vaddr, uint64_t expected,
 Status Context::LockFetchAdd(rdma::RKey r_key, sim::VAddr vaddr,
                              uint64_t addend, uint64_t* prior) {
   if (options_.local) {
+    sim::FrameEpoch::Guard epoch;
     uint8_t* p = node_->rnic()->address_space()->TranslatePtr(vaddr);
     *prior = std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(p))
                  .fetch_add(addend, std::memory_order_acq_rel);

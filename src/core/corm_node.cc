@@ -90,8 +90,13 @@ CormNode::CormNode(CormConfig config)
                                           index_table_pages_, /*odp=*/true);
   CORM_CHECK(index_keys.ok());
   index_table_keys_ = *index_keys;
-  index_view_ = std::make_unique<index::IndexTable>(
-      space_->TranslatePtr(index_table_base_), index_buckets_);
+  {
+    // The view keeps this pointer for the node's lifetime: the table is
+    // never remapped or unmapped before the view is destroyed.
+    sim::FrameEpoch::Guard epoch;
+    index_view_ = std::make_unique<index::IndexTable>(
+        space_->TranslatePtr(index_table_base_), index_buckets_);
+  }
 
   repl_ingress_.resize(kMaxReplIngress);  // fixed capacity, never reallocates
 
@@ -135,6 +140,7 @@ CormNode::~CormNode() {
 }
 
 uint64_t CormNode::SyncEpoch() const {
+  sim::FrameEpoch::Guard epoch;
   const uint8_t* p = space_->TranslatePtr(sync_table_base_);
   return std::atomic_ref<const uint64_t>(
              *reinterpret_cast<const uint64_t*>(p))
@@ -144,6 +150,7 @@ uint64_t CormNode::SyncEpoch() const {
 void CormNode::SealSyncEpoch() {
   // Local CPU atomic on the registered word: coherent with remote RNIC
   // atomics (IBV_ATOMIC_GLOB semantics, see Rnic::MttAtomic).
+  sim::FrameEpoch::Guard epoch;
   uint8_t* p = space_->TranslatePtr(sync_table_base_);
   std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(p))
       .fetch_add(1, std::memory_order_acq_rel);
@@ -358,6 +365,8 @@ NodeStats CormNode::stats() const {
     out.index_fenced_entries += s.index_fenced_entries.Load();
     out.index_rehomes += s.index_rehomes.Load();
   });
+  out.frame_slabs_reclaimed = phys_->reclaimed_slabs();
+  out.frame_slabs_retired = phys_->retired_slabs();
   return out;
 }
 
@@ -506,6 +515,8 @@ Status CormNode::Audit() {
 }
 
 Status CormNode::AuditBlock(const alloc::Block& block) {
+  // The slot walk below translates live objects' bytes.
+  sim::FrameEpoch::Guard epoch;
   // Directory resolution: the block's own base is a non-alias entry, every
   // ghost alias resolves back to this block as an alias.
   const DirectoryEntry self = LookupBlock(block.base());

@@ -278,6 +278,12 @@ struct NodeStats {
   uint64_t index_repairs = 0;
   uint64_t index_fenced_entries = 0;
   uint64_t index_rehomes = 0;
+  // Read from the node's PhysicalMemory, not the shards (DESIGN.md §7.6):
+  // frame slabs freed by epoch reclamation (a counter), and slabs whose
+  // last frame died but whose host bytes still wait for a guard to close
+  // (a gauge; a quiescent node drains it to 0).
+  uint64_t frame_slabs_reclaimed = 0;
+  uint64_t frame_slabs_retired = 0;
 };
 
 // Result of one compaction run.

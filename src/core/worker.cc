@@ -52,6 +52,9 @@ void Worker::Run() {
   while (!node_->stop_.load(std::memory_order_relaxed)) {
     if (PollOnce(batch)) {
       dry = false;
+      // Outside the poll's guard: frees slabs this poll retired, once no
+      // other translator can still hold them (DESIGN.md §7.6).
+      node_->phys_->ReclaimRetired();
       continue;
     }
     // Idle. Keep polling (CpuRelax yields, so the threads we might be
@@ -72,7 +75,9 @@ void Worker::Run() {
     // channel pattern: ibv_req_notify_cq, poll the CQ once more, then
     // ibv_get_cq_event). Work published before a producer's Ring() that
     // missed the arm is found by the re-poll; any later Ring() wakes the
-    // sleep. The futex timeout is only a safety net.
+    // sleep. The futex timeout is only a safety net. Retired frames are
+    // freed first, so a quiescent node holds no host memory for them.
+    node_->phys_->ReclaimRetired();
     const uint32_t key = doorbell_->Arm();
     parked_.store(true, std::memory_order_relaxed);
     if (node_->stop_.load(std::memory_order_relaxed) ||
@@ -91,10 +96,16 @@ void Worker::Run() {
   }
   // Stop raced an active run: complete its request (the control-plane
   // caller is still spinning on it) and hand collected blocks back.
+  sim::FrameEpoch::Guard epoch;
   engine_->Shutdown();
 }
 
 bool Worker::PollOnce(rdma::RpcMessage** batch) {
+  // Every frame pointer this poll translates (slot pointers, ring records,
+  // compaction copies) stays readable until the poll returns, even if a
+  // remap retires its frame meanwhile (DESIGN.md §7.6). One guard per
+  // poll: it never spans a park.
+  sim::FrameEpoch::Guard epoch;
   if (auto msg = inbox_.TryPop()) {
     HandleInbox(*msg);
     return true;
@@ -496,11 +507,12 @@ Result<Worker::Resolved> Worker::ResolveObject(const GlobalAddr& addr) {
   const uint32_t hint_slot =
       static_cast<uint32_t>(offset / r.block->slot_size());
   if (hint_slot < r.block->num_slots()) {
-    const uint8_t* ptr = SlotPtr(base, r.block, hint_slot);
+    uint8_t* ptr = SlotPtr(base, r.block, hint_slot);
     if (ptr != nullptr) {
       const ObjectHeader h = ObjectHeader::Unpack(LoadHeaderWord(ptr));
       if (h.obj_id == addr.obj_id && h.lock != LockState::kTombstone) {
         r.slot = hint_slot;
+        r.ptr = ptr;
         return r;
       }
     }
@@ -513,6 +525,7 @@ Result<Worker::Resolved> Worker::ResolveObject(const GlobalAddr& addr) {
           : CorrectViaScan(r.block, base, addr.obj_id);
   CORM_RETURN_NOT_OK(slot.status());
   r.slot = *slot;
+  r.ptr = SlotPtr(base, r.block, r.slot);
   r.corrected = true;
   return r;
 }
@@ -554,7 +567,7 @@ void Worker::HandleRead(rdma::RpcMessage* rpc) NO_THREAD_SAFETY_ANALYSIS {
     Complete(rpc, Status::InvalidArgument("read larger than object payload"));
     return;
   }
-  uint8_t* ptr = SlotPtr(resolved->base, block, resolved->slot);
+  uint8_t* ptr = resolved->ptr;
 
   ReadResponse resp;
   resp.addr = CorrectedAddr(req.addr, *resolved, block->slot_size());
@@ -610,7 +623,7 @@ void Worker::HandleWrite(rdma::RpcMessage* rpc) {
     Complete(rpc, Status::InvalidArgument("write larger than object payload"));
     return;
   }
-  uint8_t* ptr = SlotPtr(resolved->base, block, resolved->slot);
+  uint8_t* ptr = resolved->ptr;
 
   // Acquire the object lock (bounded spin over transient writer locks).
   uint64_t w = LoadHeaderWord(ptr);
@@ -726,7 +739,7 @@ bool Worker::ApplyReplRecord(const rdma::ReplRecordHeader& hdr,
     ++stats_.repl_apply_orphans;  // image cannot fit this object
     return true;
   }
-  uint8_t* ptr = SlotPtr(resolved->base, block, resolved->slot);
+  uint8_t* ptr = resolved->ptr;
 
   // Acquire the object seqlock — HandleWrite's discipline, but with a short
   // contention bound: a locked or kCompacting object defers the record (it
@@ -836,7 +849,7 @@ void Worker::ReleaseGhost(const GhostToRelease& ghost) {
 
 Status Worker::FreeResolved(const Resolved& r) {
   alloc::Block* block = r.block;
-  uint8_t* ptr = SlotPtr(r.base, block, r.slot);
+  uint8_t* ptr = r.ptr;
   uint64_t w = LoadHeaderWord(ptr);
   for (int attempt = 0;; ++attempt) {
     ObjectHeader h = ObjectHeader::Unpack(w);
@@ -926,7 +939,7 @@ void Worker::HandleReleasePtr(rdma::RpcMessage* rpc) {
     return;
   }
   alloc::Block* block = resolved->block;
-  uint8_t* ptr = SlotPtr(resolved->base, block, resolved->slot);
+  uint8_t* ptr = resolved->ptr;
 
   uint64_t w = LoadHeaderWord(ptr);
   for (int attempt = 0;; ++attempt) {

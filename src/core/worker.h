@@ -141,6 +141,9 @@ class Worker {
     alloc::Block* block = nullptr;
     uint32_t slot = 0;
     sim::VAddr base = 0;      // block base the client's pointer references
+    // The slot's bytes through `base`, translated once by ResolveObject;
+    // valid for the rest of the poll (its FrameEpoch guard).
+    uint8_t* ptr = nullptr;
     bool corrected = false;   // hint was stale; slot found via ID
     bool old_block = false;   // pointer references a ghost base (§3.3)
   };

@@ -44,10 +44,12 @@ std::atomic<uint64_t>* ReplLogRing::AppliedWord() const {
 }
 
 uint64_t ReplLogRing::applied() const {
+  sim::FrameEpoch::Guard epoch;
   return AppliedWord()->load(std::memory_order_acquire);
 }
 
 bool ReplLogRing::NextRecord(ReplRecordHeader* hdr, Buffer* payload) {
+  sim::FrameEpoch::Guard epoch;
   const uint64_t next = applied() + 1;
   uint8_t* slot = space_->TranslatePtr(SlotAddr(next));
   CORM_CHECK(slot != nullptr);
@@ -68,6 +70,7 @@ bool ReplLogRing::NextRecord(ReplRecordHeader* hdr, Buffer* payload) {
 }
 
 void ReplLogRing::Advance() {
+  sim::FrameEpoch::Guard epoch;
   const uint64_t next = applied() + 1;
   uint8_t* slot = space_->TranslatePtr(SlotAddr(next));
   CORM_CHECK(slot != nullptr);

@@ -91,6 +91,7 @@ class ReplLogRing {
     return base_ + sim::kVPageSize +
            ((seq - 1) % slots_) * static_cast<uint64_t>(slot_bytes_);
   }
+  // The caller holds a FrameEpoch guard while it uses the word.
   std::atomic<uint64_t>* AppliedWord() const;
 
   sim::AddressSpace* space_ = nullptr;

@@ -16,6 +16,14 @@
 // MTT entries hold references on their physical frames, modeling the page
 // pinning performed by real RDMA registration: a stale entry reads stale
 // (but live) data, never freed memory.
+//
+// Like the NIC's own translation, the data path takes no lock
+// (DESIGN.md §7.6): the region is found in a radix table indexed by r_key,
+// and an MTT entry is one acquire load of the pinned frame's host pointer.
+// The region's entry lock is taken only on an ODP fault. Every access runs
+// inside a FrameEpoch guard, so an invalidation, re-registration or
+// deregistration that races it retires what it unlinks instead of freeing
+// it.
 
 #ifndef CORM_RDMA_RNIC_H_
 #define CORM_RDMA_RNIC_H_
@@ -25,7 +33,7 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "common/mutex.h"
@@ -33,8 +41,10 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "sim/address_space.h"
+#include "sim/frame_epoch.h"
 #include "sim/latency_model.h"
 #include "sim/physical_memory.h"
+#include "sim/radix_table.h"
 
 namespace corm::rdma {
 
@@ -51,9 +61,11 @@ struct MrKeys {
 class MemoryRegion {
  public:
   MemoryRegion(sim::VAddr base, size_t npages, bool odp, MrKeys keys)
-      : base_(base), npages_(npages), odp_(odp), keys_(keys) {
-    entries_.resize(npages);
-  }
+      : base_(base),
+        npages_(npages),
+        odp_(odp),
+        keys_(keys),
+        entries_(std::make_unique<MttEntry[]>(npages)) {}
 
   sim::VAddr base() const { return base_; }
   size_t npages() const { return npages_; }
@@ -68,9 +80,13 @@ class MemoryRegion {
  private:
   friend class Rnic;
 
+  // `data` is written under entries_mu_ (release) and read lock-free
+  // (acquire) by the data path; `frame` is only touched under entries_mu_.
   struct MttEntry {
+    // Pinned frame's host bytes; null => invalid (ODP fault required, or
+    // never resolved).
+    std::atomic<uint8_t*> data{nullptr};
     sim::FrameId frame = sim::kInvalidFrame;
-    bool valid = false;  // false => ODP fault required (or never resolved)
   };
 
   const sim::VAddr base_;
@@ -79,7 +95,12 @@ class MemoryRegion {
   const MrKeys keys_;
 
   mutable Mutex entries_mu_;
-  std::vector<MttEntry> entries_ GUARDED_BY(entries_mu_);
+  // Fixed at registration. Not GUARDED_BY: `data` is read without the lock
+  // (DESIGN.md §10.7); every write holds entries_mu_.
+  const std::unique_ptr<MttEntry[]> entries_;
+  // Set by DeregisterMemory: a racing ODP fault or repair must not pin a
+  // frame the deregistration already released.
+  bool dead_ GUARDED_BY(entries_mu_) = false;
   // Set while ibv_rereg_mr is in flight; accesses then break the QP.
   std::atomic<bool> reregistering_{false};
 };
@@ -188,8 +209,13 @@ class Rnic : public sim::MmuNotifier {
   const RnicStats& stats() const { return stats_; }
   sim::AddressSpace* address_space() const { return space_; }
 
-  // Looks up a region by r_key (testing / QP validation).
-  MemoryRegion* FindRegion(RKey r_key);
+  // Lock-free: the region registered under r_key, or null. The pointer is
+  // only safe to dereference inside a FrameEpoch guard (a deregistered
+  // region is retired, not freed).
+  MemoryRegion* FindRegion(RKey r_key) const {
+    const auto* slot = regions_.Find(r_key);
+    return slot == nullptr ? nullptr : slot->load(std::memory_order_acquire);
+  }
 
   // Resets the MTT translation cache (benches isolate configurations).
   void ResetMttCache();
@@ -200,14 +226,35 @@ class Rnic : public sim::MmuNotifier {
   Status ResolveEntryLocked(MemoryRegion* mr, size_t page_idx)
       REQUIRES(mr->entries_mu_);
 
-  // Returns the region owning r_key, or null.
-  std::shared_ptr<MemoryRegion> Lookup(RKey r_key);
+  // Drops entry `page_idx`'s frame reference and marks it invalid.
+  void InvalidateEntryLocked(MemoryRegion* mr, size_t page_idx)
+      REQUIRES(mr->entries_mu_);
+
+  // The host bytes behind MTT entry `page_idx`: one acquire load, or on an
+  // invalid ODP entry a fault that resolves it under the entry lock (unless
+  // a racing access already did; only the resolver pays `fault_ns`).
+  // QpBroken when the entry cannot be used. Caller holds a guard.
+  struct EntryBytes {
+    uint8_t* bytes;
+    uint64_t fault_ns;
+  };
+  Result<EntryBytes> EntryData(MemoryRegion* mr, size_t page_idx,
+                               bool* broke_qp);
+
+  // Whether the kQpBreak fault site fires for this access.
+  static bool InjectedQpBreak();
+  // Shared QP-level checks of MttAccess/MttAtomic: the region for
+  // [addr, addr + len) under r_key, or QpBroken. Caller holds a guard.
+  Result<MemoryRegion*> AccessRegion(RKey r_key, sim::VAddr addr, size_t len,
+                                     bool* broke_qp);
+  // Marks the QP broken and returns the error.
+  Status BreakQp(bool* broke_qp, std::string why);
 
   // Batch building blocks: repair one already-resolved region.
   Result<uint64_t> AdviseRegion(MemoryRegion* mr, sim::VAddr addr, size_t len);
   Status ReregRegion(MemoryRegion* mr);
-  // Resolves every key in one registration-table lock acquisition.
-  Result<std::vector<std::shared_ptr<MemoryRegion>>> LookupBatch(
+  // Resolves every key through the lock-free table. Caller holds a guard.
+  Result<std::vector<MemoryRegion*>> LookupBatch(
       const std::vector<RKey>& keys, const char* what);
 
   // Models the RNIC's bounded translation cache (§4.2.2): direct-mapped
@@ -217,14 +264,18 @@ class Rnic : public sim::MmuNotifier {
   sim::AddressSpace* const space_;
   const sim::LatencyModel model_;
 
-  // Registration-table lock (rank kSubstrate; never held across an
-  // entries_mu_ acquisition of the *same* region in the data path).
+  // Registration-table lock (rank kSubstrate). Serializes registration and
+  // deregistration; the data path never takes it.
   Mutex mu_;
-  std::unordered_map<RKey, std::shared_ptr<MemoryRegion>> regions_
-      GUARDED_BY(mu_);
+  // r_key -> region, the owning pointer (keys are never reused). 2^16 leaf
+  // pointers x 2^16-entry leaves cover the whole 32-bit key space. Written
+  // under mu_, read lock-free (DESIGN.md §10.7).
+  sim::RadixTable<std::atomic<MemoryRegion*>, 16, 16> regions_;
+  // Deregistered regions, freed once no guard can still see them.
+  sim::RetireList<std::unique_ptr<MemoryRegion>> retired_regions_;
   // Disjoint regions ordered by base vaddr: O(log n) page->region lookup
   // for MMU-notifier invalidations.
-  std::map<sim::VAddr, std::shared_ptr<MemoryRegion>> by_base_ GUARDED_BY(mu_);
+  std::map<sim::VAddr, MemoryRegion*> by_base_ GUARDED_BY(mu_);
   uint32_t next_key_ GUARDED_BY(mu_) = 1;
   RnicStats stats_;
   // Direct-mapped translation cache: cached vpage per set (0 = empty).

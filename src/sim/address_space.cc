@@ -11,9 +11,19 @@ namespace corm::sim {
 AddressSpace::~AddressSpace() {
   // Drop page-table references so PhysicalMemory accounting stays balanced
   // when address spaces are torn down in tests.
-  for (const auto& [page, frame] : page_table_) {
-    phys_->Unref(frame);
-  }
+  page_table_.ForEach([this](PageEntry& e) {
+    const FrameId frame = e.frame.load(std::memory_order_relaxed);
+    if (frame != kInvalidFrame) phys_->Unref(frame);
+  });
+}
+
+void AddressSpace::MapEntryLocked(VAddr page, FrameId frame) {
+  PageEntry& e = page_table_.At(PageIndex(page));
+  CORM_CHECK_EQ(e.frame.load(std::memory_order_relaxed), kInvalidFrame)
+      << "mapping over an existing mapping at " << page;
+  e.frame.store(frame, std::memory_order_relaxed);
+  e.data.store(phys_->FrameData(frame), std::memory_order_release);
+  ++mapped_pages_;
 }
 
 VAddr AddressSpace::ReserveRange(size_t npages) {
@@ -56,10 +66,8 @@ Status AddressSpace::MapFresh(VAddr base, size_t npages) {
   }
   LockGuard<Mutex> lock(mu_);
   for (size_t i = 0; i < npages; ++i) {
-    VAddr page = base + i * kVPageSize;
-    CORM_CHECK(page_table_.find(page) == page_table_.end())
-        << "MapFresh over an existing mapping at " << page;
-    page_table_[page] = frames[i];  // AllocFrame's ref becomes the PT ref
+    // AllocFrame's ref becomes the PT ref.
+    MapEntryLocked(base + i * kVPageSize, frames[i]);
   }
   return Status::OK();
 }
@@ -73,10 +81,8 @@ Status AddressSpace::MapFreshContiguous(VAddr base, size_t npages) {
   if (!frames.ok()) return frames.status();
   LockGuard<Mutex> lock(mu_);
   for (size_t i = 0; i < npages; ++i) {
-    VAddr page = base + i * kVPageSize;
-    CORM_CHECK(page_table_.find(page) == page_table_.end())
-        << "MapFreshContiguous over an existing mapping at " << page;
-    page_table_[page] = (*frames)[i];  // the alloc ref becomes the PT ref
+    // The alloc ref becomes the PT ref.
+    MapEntryLocked(base + i * kVPageSize, (*frames)[i]);
   }
   return Status::OK();
 }
@@ -87,11 +93,8 @@ Status AddressSpace::MapFrames(VAddr base, const std::vector<FrameId>& frames) {
   }
   LockGuard<Mutex> lock(mu_);
   for (size_t i = 0; i < frames.size(); ++i) {
-    VAddr page = base + i * kVPageSize;
-    CORM_CHECK(page_table_.find(page) == page_table_.end())
-        << "MapFrames over an existing mapping";
     phys_->Ref(frames[i]);
-    page_table_[page] = frames[i];
+    MapEntryLocked(base + i * kVPageSize, frames[i]);
   }
   return Status::OK();
 }
@@ -103,25 +106,39 @@ Status AddressSpace::Remap(VAddr base, VAddr target, size_t npages) {
   std::vector<VAddr> changed;
   {
     LockGuard<Mutex> lock(mu_);
+    auto mapped = [this](VAddr page) {
+      const PageEntry* e = FindEntry(page);
+      return e != nullptr &&
+             e->frame.load(std::memory_order_relaxed) != kInvalidFrame;
+    };
     // Validate both ranges first so the operation is all-or-nothing.
     for (size_t i = 0; i < npages; ++i) {
-      if (page_table_.find(base + i * kVPageSize) == page_table_.end() ||
-          page_table_.find(target + i * kVPageSize) == page_table_.end()) {
+      if (!mapped(base + i * kVPageSize) || !mapped(target + i * kVPageSize)) {
         return Status::InvalidArgument("Remap: unmapped page in range");
       }
     }
-    for (size_t i = 0; i < npages; ++i) {
-      VAddr src_page = base + i * kVPageSize;
-      VAddr dst_page = target + i * kVPageSize;
-      FrameId old_frame = page_table_[src_page];
-      FrameId new_frame = page_table_[dst_page];
+    // Highest page first: a lock-free reader walking the range upwards
+    // (CorrectViaScan) that sees page i already remapped then sees every
+    // later page remapped too, never new frames followed by old ones, the
+    // same view it had when translation took this lock.
+    for (size_t i = npages; i-- > 0;) {
+      const VAddr src_page = base + i * kVPageSize;
+      PageEntry& src = page_table_.At(PageIndex(src_page));
+      const PageEntry& dst = page_table_.At(PageIndex(target + i * kVPageSize));
+      const FrameId old_frame = src.frame.load(std::memory_order_relaxed);
+      const FrameId new_frame = dst.frame.load(std::memory_order_relaxed);
       if (old_frame == new_frame) continue;
-      phys_->Ref(new_frame);    // PT ref for the new mapping
-      phys_->Unref(old_frame);  // old PT ref dropped
-      page_table_[src_page] = new_frame;
+      phys_->Ref(new_frame);  // PT ref for the new mapping
+      src.frame.store(new_frame, std::memory_order_relaxed);
+      src.data.store(dst.data.load(std::memory_order_relaxed),
+                     std::memory_order_release);
+      // The old PT ref drops after the new pointer is published; a
+      // translator still holding the old pointer is covered by its guard.
+      phys_->Unref(old_frame);
       changed.push_back(src_page);
     }
   }
+  std::reverse(changed.begin(), changed.end());  // notify in address order
   for (VAddr page : changed) NotifyChange(page);
   return Status::OK();
 }
@@ -134,13 +151,18 @@ Status AddressSpace::Unmap(VAddr base, size_t npages) {
   {
     LockGuard<Mutex> lock(mu_);
     for (size_t i = 0; i < npages; ++i) {
-      VAddr page = base + i * kVPageSize;
-      auto it = page_table_.find(page);
-      if (it == page_table_.end()) {
+      const VAddr page = base + i * kVPageSize;
+      PageEntry* e = page_table_.Find(PageIndex(page));
+      const FrameId frame = e == nullptr
+                                ? kInvalidFrame
+                                : e->frame.load(std::memory_order_relaxed);
+      if (frame == kInvalidFrame) {
         return Status::InvalidArgument("Unmap: page not mapped");
       }
-      phys_->Unref(it->second);
-      page_table_.erase(it);
+      e->data.store(nullptr, std::memory_order_release);
+      e->frame.store(kInvalidFrame, std::memory_order_relaxed);
+      --mapped_pages_;
+      phys_->Unref(frame);
       changed.push_back(page);
     }
   }
@@ -149,29 +171,39 @@ Status AddressSpace::Unmap(VAddr base, size_t npages) {
 }
 
 Result<FrameId> AddressSpace::TranslatePage(VAddr addr) const {
-  LockGuard<Mutex> lock(mu_);
-  auto it = page_table_.find(PageBase(addr));
-  if (it == page_table_.end()) {
-    return Status::NotFound("page not mapped");
-  }
-  return it->second;
+  const PageEntry* e = FindEntry(addr);
+  const FrameId frame =
+      e == nullptr ? kInvalidFrame : e->frame.load(std::memory_order_acquire);
+  if (frame == kInvalidFrame) return Status::NotFound("page not mapped");
+  return frame;
 }
 
 uint8_t* AddressSpace::TranslatePtr(VAddr addr) const {
-  // The page-table lock is held across the frame dereference: Remap/Unmap
-  // drop their frame references under the same lock, so a frame resolved
-  // here cannot die before FrameData returns. (Without this, a translate
-  // racing a compaction remap could look up a frame id, lose the CPU, and
-  // call FrameData on a frame whose last reference was just dropped —
-  // the replicated-log applier retries kCompacting objects persistently
-  // and hits that window reliably.)
+  if constexpr (kAuditEnabled) {
+    // The pointer is only safe to use while the caller's guard holds off
+    // reclamation of the frame's bytes (DESIGN.md §7.6).
+    CORM_CHECK(FrameEpoch::InGuard())
+        << "TranslatePtr outside a FrameEpoch guard";
+  }
+  const PageEntry* e = FindEntry(addr);
+  if (e == nullptr) return nullptr;
+  uint8_t* data = e->data.load(std::memory_order_acquire);
+  return data == nullptr ? nullptr : data + PageOffset(addr);
+}
+
+Result<FrameId> AddressSpace::PinPage(VAddr addr, uint8_t** data) {
   LockGuard<Mutex> lock(mu_);
-  auto it = page_table_.find(PageBase(addr));
-  if (it == page_table_.end()) return nullptr;
-  return phys_->FrameData(it->second) + PageOffset(addr);
+  const PageEntry* e = FindEntry(addr);
+  const FrameId frame =
+      e == nullptr ? kInvalidFrame : e->frame.load(std::memory_order_relaxed);
+  if (frame == kInvalidFrame) return Status::NotFound("page not mapped");
+  phys_->Ref(frame);
+  *data = e->data.load(std::memory_order_relaxed);
+  return frame;
 }
 
 Status AddressSpace::ReadVirtual(VAddr addr, void* out, size_t size) const {
+  FrameEpoch::Guard epoch;
   auto* dst = static_cast<uint8_t*>(out);
   while (size > 0) {
     const size_t in_page = std::min<size_t>(size, kVPageSize - PageOffset(addr));
@@ -190,6 +222,7 @@ Status AddressSpace::ReadVirtual(VAddr addr, void* out, size_t size) const {
 }
 
 Status AddressSpace::WriteVirtual(VAddr addr, const void* data, size_t size) {
+  FrameEpoch::Guard epoch;
   const auto* src = static_cast<const uint8_t*>(data);
   while (size > 0) {
     const size_t in_page = std::min<size_t>(size, kVPageSize - PageOffset(addr));
@@ -225,7 +258,7 @@ void AddressSpace::NotifyChange(VAddr page) {
 
 size_t AddressSpace::mapped_pages() const {
   LockGuard<Mutex> lock(mu_);
-  return page_table_.size();
+  return mapped_pages_;
 }
 
 size_t AddressSpace::reserved_pages() const {

@@ -8,12 +8,14 @@ namespace corm::sim {
 
 Result<std::vector<FrameId>> PhysicalMemory::AllocContiguousFrames(size_t n) {
   CORM_CHECK_GT(n, 0u);
+  // Allocation is where host memory grows: free what retired slabs allow
+  // first.
+  retired_.Reclaim();
   LockGuard<Mutex> lock(mu_);
   if (max_frames_ != 0 && live_frames_ + n > max_frames_) {
     return Status::OutOfMemory("simulated DRAM exhausted");
   }
-  std::shared_ptr<uint8_t[]> slab =
-      std::make_shared<uint8_t[]>(n * kFrameSize);
+  Slab slab = std::make_shared<uint8_t[]>(n * kFrameSize);
   std::vector<FrameId> ids;
   ids.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -26,7 +28,7 @@ Result<std::vector<FrameId>> PhysicalMemory::AllocContiguousFrames(size_t n) {
       frames_.emplace_back();
     }
     frames_[id].slab = slab;
-    frames_[id].offset = i * kFrameSize;
+    frames_[id].data = slab.get() + i * kFrameSize;
     frames_[id].refcount = 1;
     ids.push_back(id);
   }
@@ -53,8 +55,16 @@ void PhysicalMemory::Unref(FrameId id) {
   LockGuard<Mutex> lock(mu_);
   CORM_CHECK_LT(id, frames_.size());
   CORM_CHECK_GT(frames_[id].refcount, 0u) << "Unref on a free frame";
-  if (--frames_[id].refcount == 0) {
-    frames_[id].slab.reset();  // slab dies with its last live frame
+  Frame& frame = frames_[id];
+  if (--frame.refcount == 0) {
+    // The frame leaves the accounting now; its bytes may still be under a
+    // lock-free translator, so the slab's last frame retires it instead of
+    // freeing it (the other frames' copies are plain references).
+    if (frame.slab.use_count() == 1) {
+      retired_.Retire(std::move(frame.slab));
+    }
+    frame.slab.reset();
+    frame.data = nullptr;
     free_list_.push_back(id);
     --live_frames_;
   }
@@ -63,8 +73,8 @@ void PhysicalMemory::Unref(FrameId id) {
 uint8_t* PhysicalMemory::FrameData(FrameId id) {
   LockGuard<Mutex> lock(mu_);
   CORM_CHECK_LT(id, frames_.size());
-  CORM_CHECK(frames_[id].slab != nullptr) << "FrameData on a free frame";
-  return frames_[id].slab.get() + frames_[id].offset;
+  CORM_CHECK(frames_[id].data != nullptr) << "FrameData on a free frame";
+  return frames_[id].data;
 }
 
 uint32_t PhysicalMemory::RefCount(FrameId id) const {

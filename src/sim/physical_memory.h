@@ -9,6 +9,13 @@
 // returned to the pool only when the last reference drops, so a stale,
 // never-updated RNIC MTT entry reads stale-but-live data — exactly the
 // real-hardware behaviour, and memory-safe in simulation.
+//
+// Host bytes outlive the last reference by an epoch (DESIGN.md §7.6): the
+// page table and the MTT are read without a lock, so a translator may still
+// hold a frame's pointer when its last reference drops. The frame leaves
+// the accounting (live_frames) and its id is recycled at once, but its slab
+// is retired and freed only when no FrameEpoch guard that could have seen
+// it is still open.
 
 #ifndef CORM_SIM_PHYSICAL_MEMORY_H_
 #define CORM_SIM_PHYSICAL_MEMORY_H_
@@ -22,6 +29,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "sim/frame_epoch.h"
 
 namespace corm::sim {
 
@@ -30,8 +38,9 @@ inline constexpr FrameId kInvalidFrame = UINT32_MAX;
 
 inline constexpr size_t kFrameSize = kPageSize;  // 4 KiB
 
-// Thread-safe frame pool. Frame data pointers are stable for the lifetime of
-// the pool (frames are never relocated, only recycled after refcount 0).
+// Thread-safe frame pool. A frame's data pointer stays valid while the frame
+// holds a reference, and after that until every FrameEpoch guard open at the
+// last Unref has closed.
 class PhysicalMemory {
  public:
   // `max_frames` caps the simulated DRAM; 0 means unlimited.
@@ -53,10 +62,12 @@ class PhysicalMemory {
   // Increments the pin count of `id`.
   void Ref(FrameId id);
 
-  // Decrements the pin count; recycles the frame when it reaches zero.
+  // Decrements the pin count; recycles the frame when it reaches zero and
+  // retires its slab when that was the slab's last live frame.
   void Unref(FrameId id);
 
-  // Direct pointer to the frame's 4 KiB of data.
+  // Direct pointer to the frame's 4 KiB of data (control path: takes the
+  // pool lock; translators read the pointer cached in their own tables).
   uint8_t* FrameData(FrameId id);
 
   // Current refcount (testing / accounting).
@@ -67,12 +78,22 @@ class PhysicalMemory {
   size_t peak_frames() const;
   uint64_t total_allocs() const;
 
+  // Frees every retired slab no FrameEpoch guard can still see; returns how
+  // many. Call outside a guard to free slabs the caller retired itself.
+  size_t ReclaimRetired() { return retired_.Reclaim(); }
+  // Slabs whose last frame died but whose host bytes are not yet freed.
+  size_t retired_slabs() const { return retired_.pending(); }
+  // Slabs freed by ReclaimRetired so far.
+  uint64_t reclaimed_slabs() const { return retired_.reclaimed(); }
+
  private:
-  // A frame is a 4 KiB view into a shared slab; the slab dies with its
-  // last frame. Single-frame allocations own a one-page slab.
+  using Slab = std::shared_ptr<uint8_t[]>;
+
+  // A frame is a 4 KiB view into a shared slab; the slab is retired with
+  // its last frame. Single-frame allocations own a one-page slab.
   struct Frame {
-    std::shared_ptr<uint8_t[]> slab;
-    size_t offset = 0;
+    Slab slab;
+    uint8_t* data = nullptr;
     uint32_t refcount = 0;
   };
 
@@ -87,6 +108,8 @@ class PhysicalMemory {
   size_t live_frames_ GUARDED_BY(mu_) = 0;
   size_t peak_frames_ GUARDED_BY(mu_) = 0;
   uint64_t total_allocs_ GUARDED_BY(mu_) = 0;
+  // Declared last: destroyed first, so pool teardown frees retired slabs.
+  RetireList<Slab> retired_;
 };
 
 }  // namespace corm::sim

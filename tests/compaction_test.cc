@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -295,6 +297,47 @@ TEST(CompactionPolicyTest, CompactIfFragmentedTriggersOnThreshold) {
   ASSERT_EQ(reports->size(), 1u);
   EXPECT_GT((*reports)[0].blocks_freed, 0u);
   (void)survivors;
+}
+
+// --- Host memory behind freed frames (DESIGN.md §7.6) -------------------------
+
+// Compaction frees source blocks while workers and one-sided readers may
+// still hold translated pointers into them, so their frame slabs are
+// retired, not freed. A node that goes quiet must free every one of them by
+// itself (workers reclaim between polls and before they park): the
+// retired-slab gauge drains to 0, so host memory stays bounded by what is
+// mapped.
+TEST(FrameReclaimTest, QuiescentNodeDrainsRetiredSlabsAfterCompaction) {
+  CormNode node(BaseConfig());
+  auto ctx = Context::Create(&node);
+  constexpr uint32_t kPayload = 56;
+  auto addrs = Load(ctx.get(), 512, kPayload);
+  std::vector<size_t> live_idx;
+  auto survivors = FreeEveryOther(ctx.get(), &addrs, &live_idx);
+  const uint64_t reclaimed_before = node.stats().frame_slabs_reclaimed;
+  auto report = node.Compact(*node.ClassForPayload(kPayload));
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_GT(report->blocks_freed, 0u);
+
+  // No request arrives from here on; only the node's own workers run.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (node.stats().frame_slabs_retired != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const NodeStats st = node.stats();
+  EXPECT_EQ(st.frame_slabs_retired, 0u);
+  // Each freed block's slab went through retirement and was freed.
+  EXPECT_GE(st.frame_slabs_reclaimed - reclaimed_before,
+            static_cast<uint64_t>(report->blocks_freed));
+
+  std::vector<uint8_t> buf(kPayload);
+  for (size_t i = 0; i < survivors.size(); ++i) {
+    GlobalAddr addr = survivors[i];
+    ASSERT_TRUE(ctx->Read(&addr, buf.data(), kPayload).ok()) << i;
+    EXPECT_TRUE(PatternCheck(live_idx[i], buf.data(), kPayload)) << i;
+  }
 }
 
 // --- Repeated compaction / ghost chains --------------------------------------

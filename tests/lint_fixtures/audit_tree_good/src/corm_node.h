@@ -16,4 +16,5 @@ struct NodeStatShard {
 struct NodeStats {
   uint64_t rpc_reads = 0;
   uint64_t rpc_writes = 0;
+  uint64_t frames_retired = 0;  // a gauge, read straight into the snapshot
 };

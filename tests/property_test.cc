@@ -161,6 +161,7 @@ TEST(PagingPropertyTest, RefcountsBalanceUnderRandomRemaps) {
       }
       // Invariant: every live frame is reachable (ref > 0 by definition);
       // mapped pages all translate.
+      sim::FrameEpoch::Guard epoch;
       for (const auto& m : mappings) {
         ASSERT_NE(space.TranslatePtr(m.base), nullptr);
       }

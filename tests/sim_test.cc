@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "sim/address_space.h"
+#include "sim/frame_epoch.h"
 #include "sim/latency_model.h"
 #include "sim/mem_file.h"
 #include "sim/physical_memory.h"
@@ -148,6 +152,7 @@ TEST_F(AddressSpaceTest, UnmapRejectsUnmapped) {
 }
 
 TEST_F(AddressSpaceTest, TranslateUnmappedFails) {
+  FrameEpoch::Guard epoch;
   EXPECT_EQ(space_.TranslatePtr(0x1234), nullptr);
   EXPECT_FALSE(space_.TranslatePage(0x1234).ok());
   char c;
@@ -282,6 +287,162 @@ TEST(LatencyModelTest, PaceHonorsZeroScale) {
   // Test main sets scale 0: Pace must return immediately even for an hour.
   Pace(3'600'000'000'000ULL);
   SUCCEED();
+}
+
+// --- Frame epochs (lock-free translation, deferred frame reclamation) --------
+
+// Spins until `flag` reaches `value` (test-local hand-off between threads).
+void AwaitStage(const std::atomic<int>& flag, int value) {
+  while (flag.load(std::memory_order_acquire) < value) {
+    std::this_thread::yield();
+  }
+}
+
+// A guarded translator holds a page's pointer while another thread drops
+// the last reference to its frame: the bytes must stay readable, and the
+// slab stay retired, until the translator's guard closes. Before frames
+// were reclaimed by epoch, the drop freed the slab at once and the read
+// below was a heap-use-after-free.
+void CheckPointerOutlivesLastRef(bool by_remap) {
+  PhysicalMemory phys;
+  AddressSpace space(&phys);
+  const VAddr a = space.ReserveRange(1);
+  const VAddr b = space.ReserveRange(1);
+  ASSERT_TRUE(space.MapFresh(a, 1).ok());
+  ASSERT_TRUE(space.MapFresh(b, 1).ok());
+  const uint64_t marker = 0x1122334455667788ULL;
+  ASSERT_TRUE(space.WriteVirtual(a, &marker, sizeof(marker)).ok());
+  const uint64_t retired_before = phys.retired_slabs();
+
+  std::atomic<int> stage{0};
+  uint64_t seen = 0;
+  std::thread reader([&] {
+    FrameEpoch::Guard guard;
+    const uint8_t* p = space.TranslatePtr(a);
+    stage.store(1, std::memory_order_release);
+    AwaitStage(stage, 2);  // a's frame has lost its last reference
+    std::memcpy(&seen, p, sizeof(seen));
+    stage.store(3, std::memory_order_release);
+    AwaitStage(stage, 4);
+  });
+  AwaitStage(stage, 1);
+  if (by_remap) {
+    ASSERT_TRUE(space.Remap(a, b, 1).ok());  // a now aliases b's frame
+    EXPECT_EQ(phys.live_frames(), 1u);
+  } else {
+    ASSERT_TRUE(space.Unmap(a, 1).ok());
+    EXPECT_EQ(phys.live_frames(), 1u);  // only b's frame is accounted
+  }
+  EXPECT_EQ(phys.retired_slabs(), retired_before + 1);
+  phys.ReclaimRetired();  // the reader's guard holds the slab back
+  EXPECT_GE(phys.retired_slabs(), 1u);
+  stage.store(2, std::memory_order_release);
+  AwaitStage(stage, 3);
+  EXPECT_EQ(seen, marker);
+  phys.ReclaimRetired();
+  EXPECT_GE(phys.retired_slabs(), 1u);  // guard still open
+  stage.store(4, std::memory_order_release);
+  reader.join();
+  EXPECT_GE(phys.ReclaimRetired(), 1u);
+  EXPECT_EQ(phys.retired_slabs(), 0u);
+  EXPECT_GE(phys.reclaimed_slabs(), 1u);
+}
+
+TEST(FrameEpochTest, TranslatedPointerOutlivesUnmapUntilGuardExits) {
+  CheckPointerOutlivesLastRef(/*by_remap=*/false);
+}
+
+TEST(FrameEpochTest, TranslatedPointerOutlivesRemapUntilGuardExits) {
+  CheckPointerOutlivesLastRef(/*by_remap=*/true);
+}
+
+TEST(FrameEpochTest, GuardsNest) {
+  EXPECT_FALSE(FrameEpoch::InGuard());
+  {
+    FrameEpoch::Guard outer;
+    const uint64_t oldest = FrameEpoch::OldestActive();
+    EXPECT_NE(oldest, UINT64_MAX);
+    {
+      FrameEpoch::Guard inner;
+      EXPECT_TRUE(FrameEpoch::InGuard());
+      // Only the outermost guard publishes an epoch.
+      EXPECT_EQ(FrameEpoch::OldestActive(), oldest);
+    }
+    EXPECT_TRUE(FrameEpoch::InGuard());
+  }
+  EXPECT_FALSE(FrameEpoch::InGuard());
+}
+
+TEST(FrameEpochTest, SlotsAreReusedAcrossThreadLifetimes) {
+  // Far more threads over time than run at once: each claims a slot on its
+  // first guard and hands it back at exit, so slots track the peak number
+  // of live threads, not the number ever started.
+  { FrameEpoch::Guard g; }  // this thread's slot exists
+  const size_t before = FrameEpoch::SlotCount();
+  for (int i = 0; i < 64; ++i) {
+    std::thread t([] { FrameEpoch::Guard g; });
+    t.join();
+  }
+  EXPECT_LE(FrameEpoch::SlotCount(), before + 1);
+  EXPECT_EQ(FrameEpoch::OldestActive(), UINT64_MAX);
+}
+
+// Translate-vs-remap stress: readers keep translating page A while a
+// writer repeatedly points A at a freshly written frame, dropping the old
+// frame's last reference each time. Every read must see a complete image
+// of *some* written frame, and all retired slabs drain once readers stop.
+TEST(FrameEpochTest, TranslateRacesRemapStress) {
+  PhysicalMemory phys;
+  AddressSpace space(&phys);
+  const VAddr a = space.ReserveRange(1);
+  ASSERT_TRUE(space.MapFresh(a, 1).ok());
+  auto image = [](uint64_t k) { return (k << 32) | (k ^ 0x5A5A5A5AULL); };
+  const uint64_t first = image(0);
+  ASSERT_TRUE(space.WriteVirtual(a, &first, sizeof(first)).ok());
+
+  constexpr int kRemaps = 4000;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> bad{0};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        FrameEpoch::Guard guard;
+        const uint8_t* p = space.TranslatePtr(a);
+        if (p == nullptr) {
+          bad.fetch_add(1);
+          continue;
+        }
+        uint64_t v = 0;
+        std::memcpy(&v, p, sizeof(v));
+        if (v != image(v >> 32)) bad.fetch_add(1);
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  // Start remapping only once both readers are translating.
+  while (reads.load(std::memory_order_relaxed) < 2) std::this_thread::yield();
+  for (uint64_t k = 1; k <= kRemaps; ++k) {
+    const VAddr f = space.ReserveRange(1);
+    ASSERT_TRUE(space.MapFresh(f, 1).ok());
+    const uint64_t v = image(k);
+    ASSERT_TRUE(space.WriteVirtual(f, &v, sizeof(v)).ok());
+    ASSERT_TRUE(space.Remap(a, f, 1).ok());  // A's old frame: last ref gone
+    ASSERT_TRUE(space.Unmap(f, 1).ok());     // A keeps the new frame alive
+    space.ReleaseRange(f, 1);
+    if (k % 64 == 0) phys.ReclaimRetired();
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(phys.live_frames(), 1u);  // only A's current frame
+  phys.ReclaimRetired();
+  EXPECT_EQ(phys.retired_slabs(), 0u);
+  EXPECT_EQ(phys.reclaimed_slabs(), static_cast<uint64_t>(kRemaps));
+  uint64_t last = 0;
+  ASSERT_TRUE(space.ReadVirtual(a, &last, sizeof(last)).ok());
+  EXPECT_EQ(last, image(kRemaps));
 }
 
 }  // namespace

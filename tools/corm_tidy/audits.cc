@@ -263,6 +263,20 @@ int RunAudits(const std::string& root, std::ostream& os) {
       }
     }
   }
+  // Gauges read straight into the snapshot: `out.N = ...` in corm_node.cc
+  // (NodeStats fields not backed by a shard, e.g. PhysicalMemory's
+  // retired-slab gauge).
+  std::set<std::string> assigned;
+  {
+    const auto& toks = node_cc->tokens();
+    for (size_t i = 0; i + 3 < toks.size(); ++i) {
+      if (IsIdent(toks[i], "out") && IsPunct(toks[i + 1], ".") &&
+          toks[i + 2].kind == Token::Kind::kIdent &&
+          IsPunct(toks[i + 3], "=")) {
+        assigned.insert(toks[i + 2].text);
+      }
+    }
+  }
 
   std::string experiments;
   if (!ReadFile(rp / "EXPERIMENTS.md", &experiments)) {
@@ -290,15 +304,32 @@ int RunAudits(const std::string& root, std::ostream& os) {
     }
   }
   const std::set<std::string> counter_set(counters.begin(), counters.end());
+  size_t gauges = 0;
+  for (const std::string& field : snapshot_vec) {
+    if (counter_set.count(field) != 0) continue;
+    ++gauges;
+    if (assigned.count(field) == 0) {
+      fail("NodeStats field `" + field +
+           "` is neither a NodeStatShard counter nor read in "
+           "CormNode::stats() (corm_node.cc)");
+    }
+    if (schema.count(field) == 0) {
+      fail("NodeStats gauge `" + field +
+           "` is missing from the EXPERIMENTS.md stats schema");
+    }
+  }
   for (const std::string& entry : schema) {
-    if (counter_set.count(entry) == 0) {
+    const bool gauge = snapshot.count(entry) != 0 && assigned.count(entry) != 0;
+    if (counter_set.count(entry) == 0 && !gauge) {
       fail("EXPERIMENTS.md stats schema lists `" + entry +
-           "`, which is not a NodeStatShard counter");
+           "`, which is not a NodeStatShard counter or a NodeStats gauge "
+           "read in CormNode::stats()");
     }
   }
   if (failures == fault_failures) {
     os << "  OK   sharded counters: " << counters.size()
-       << " counter(s) snapshotted, aggregated, and documented\n";
+       << " counter(s) snapshotted, aggregated, and documented; " << gauges
+       << " gauge(s) read and documented\n";
   }
 
   return failures == 0 ? 0 : 1;

@@ -19,7 +19,9 @@
 //   when a counter is added — and (c) be listed in EXPERIMENTS.md's stats
 //   schema (the stats-schema-begin/end block), which is what bench scripts
 //   and plots consume. Again both directions: a schema row for a counter
-//   that was removed fails.
+//   that was removed fails. A NodeStats field with no shard counter behind
+//   it is a gauge: stats() must read it directly (`out.N = ...`), and the
+//   schema must list it too.
 //
 // Exit codes: 0 all contracts hold, 1 violations, 2 the tree is missing a
 // prerequisite (no marker block, no fault_injector.h, ...) — an audit that
