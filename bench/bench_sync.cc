@@ -1,13 +1,13 @@
 // Sync-scheme shootout + doorbell-batching A/B (DESIGN.md §12).
 //
 // Part 1 — doorbell batching: a batch of 8 one-sided object reads posted
-// as one WR chain (one doorbell + one completion) against the same batch
-// with batching disabled (8 full round trips through the sequential
-// fallback). Modeled nanoseconds, deterministic after an MTT warm-up; the
-// gate is self-enforcing: batched p50 must beat unbatched by >= 1.5x or
-// the bench exits non-zero.
+// as one WR chain (one doorbell + one completion) against the same 8
+// objects read by 8 sequential DirectReads (8 full round trips). Modeled
+// nanoseconds, deterministic after an MTT warm-up; the gate is
+// self-enforcing: batched p50 must beat unbatched by >= 1.5x or the bench
+// exits non-zero.
 //
-// Part 2 — scheme shootout: optimistic / cas_spinlock / lease_rw under two
+// Part 2 — scheme shootout: optimistic / cas_spinlock under two
 // contention levels (low: uniform over many objects; high: every client
 // hammers a small hot set), closed-loop reader and writer threads, modeled
 // per-op latency sampled from ClientStats::last_op_ns. Lock traffic is
@@ -72,13 +72,13 @@ struct BatchResult {
   uint64_t batched_wrs = 0;  // WRs carried by those chains
 };
 
-// p50 modeled ns of DirectReadBatch(kBatch) on a node with the given
-// batching setting (off = the sequential per-object fallback, same API).
-uint64_t MeasureBatchP50(bool batching_on, size_t samples, uint64_t* batches,
+// p50 modeled ns of reading kBatch objects on a fresh node: one
+// DirectReadBatch (chained) or kBatch sequential DirectReads. Each sample
+// is the context's modeled-time delta over the whole batch.
+uint64_t MeasureBatchP50(bool chained, size_t samples, uint64_t* batches,
                          uint64_t* batched_wrs) {
   CormConfig cfg;
   cfg.num_workers = 1;
-  cfg.doorbell_batching = batching_on;
   CormNode node(cfg);
   auto addrs = node.BulkAlloc(kBatch, kPayload);
   CORM_CHECK(addrs.ok());
@@ -90,11 +90,20 @@ uint64_t MeasureBatchP50(bool batching_on, size_t samples, uint64_t* batches,
   for (const auto& a : *addrs) {
     CORM_CHECK(ctx->DirectRead(a, bufs.data(), kPayload).ok());
   }
-  Histogram hist = SampleLatency(ctx.get(), static_cast<int>(samples), [&](int) {
-    CORM_CHECK(ctx->DirectReadBatch(addrs->data(), kBatch, bufs.data(),
-                                    kPayload, statuses.data())
-                   .ok());
-  });
+  Histogram hist;
+  for (size_t s = 0; s < samples; ++s) {
+    const uint64_t start = ctx->stats().modeled_ns_total;
+    if (chained) {
+      CORM_CHECK(ctx->DirectReadBatch(addrs->data(), kBatch, bufs.data(),
+                                      kPayload, statuses.data())
+                     .ok());
+    } else {
+      for (const auto& a : *addrs) {
+        CORM_CHECK(ctx->DirectRead(a, bufs.data(), kPayload).ok());
+      }
+    }
+    hist.Record(ctx->stats().modeled_ns_total - start);
+  }
   if (batches) *batches = node.stats().doorbell_batches;
   if (batched_wrs) *batched_wrs = node.stats().doorbell_batched_wrs;
   return hist.Percentile(0.5);
@@ -134,7 +143,6 @@ struct SchemeResult {
   uint64_t conflicts = 0;
   uint64_t steals = 0;
   uint64_t timeouts = 0;
-  uint64_t fences = 0;
 };
 
 SchemeResult RunScheme(sync::SchemeKind kind, const Contention& c,
@@ -195,7 +203,6 @@ SchemeResult RunScheme(sync::SchemeKind kind, const Contention& c,
   r.conflicts = s.sync_lock_conflicts;
   r.steals = s.sync_lock_steals;
   r.timeouts = s.sync_lock_timeouts;
-  r.fences = s.sync_epoch_fences;
   return r;
 }
 
@@ -272,10 +279,9 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nexpectation: optimistic wins reads outright (no lock traffic);\n"
-      "cas_spinlock serializes writers at the cost of lock round trips;\n"
-      "lease_rw admits readers with one FETCH_ADD pair and keeps writer\n"
-      "p99 bounded under contention. Validation is on in every scheme, so\n"
-      "none of them can hand a torn read to the application.\n");
+      "cas_spinlock serializes readers and writers at the cost of lock\n"
+      "round trips. Validation is on in every scheme, so neither can hand\n"
+      "a torn read to the application.\n");
 
   // --- JSON artifact (schema: EXPERIMENTS.md, "Synchronization"). --------
   {
@@ -308,7 +314,7 @@ int main(int argc, char** argv) {
             "\"write_p50_ns\": %llu, \"write_p99_ns\": %llu, "
             "\"read_failures\": %llu, \"write_failures\": %llu, "
             "\"acquires\": %llu, \"conflicts\": %llu, \"steals\": %llu, "
-            "\"timeouts\": %llu, \"fences\": %llu}",
+            "\"timeouts\": %llu}",
             l ? ",\n      " : "", levels[l].name,
             static_cast<unsigned long long>(r.read_p50_ns),
             static_cast<unsigned long long>(r.read_p99_ns),
@@ -319,8 +325,7 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(r.acquires),
             static_cast<unsigned long long>(r.conflicts),
             static_cast<unsigned long long>(r.steals),
-            static_cast<unsigned long long>(r.timeouts),
-            static_cast<unsigned long long>(r.fences));
+            static_cast<unsigned long long>(r.timeouts));
         out << buf;
       }
       out << "}" << (k + 1 < sync::kNumSchemeKinds ? "," : "") << "\n";

@@ -247,8 +247,8 @@ Status Context::DirectReadBatch(const GlobalAddr* addrs, size_t n, void* bufs,
   if (n == 0) return Status::OK();
   uint8_t* out = static_cast<uint8_t*>(bufs);
   Status first;
-  if (options_.local || !node_->config().doorbell_batching) {
-    // Nothing to amortize colocated, and the knob is the bench's A/B lever.
+  if (options_.local) {
+    // Nothing to amortize colocated.
     for (size_t i = 0; i < n; ++i) {
       statuses[i] = DirectRead(addrs[i], out + i * size, size);
       if (!statuses[i].ok() && first.ok()) first = statuses[i];
@@ -314,42 +314,6 @@ Status Context::DirectReadBatch(const GlobalAddr* addrs, size_t n, void* bufs,
 // sync::SyncMedium: the scheme's window into this client.
 // ---------------------------------------------------------------------------
 
-Status Context::LockRead(rdma::RKey r_key, sim::VAddr vaddr, uint64_t* word) {
-  return RawRead(r_key, vaddr, word, sizeof(uint64_t));
-}
-
-Status Context::LockReadPair(rdma::RKey r_key, sim::VAddr addr_a,
-                             sim::VAddr addr_b, uint64_t* word_a,
-                             uint64_t* word_b) {
-  if (options_.local || !node_->config().doorbell_batching) {
-    CORM_RETURN_NOT_OK(RawRead(r_key, addr_a, word_a, sizeof(uint64_t)));
-    return RawRead(r_key, addr_b, word_b, sizeof(uint64_t));
-  }
-  rdma::WorkRequest wrs[2];
-  wrs[0].op = rdma::WorkRequest::Op::kRead;
-  wrs[0].r_key = r_key;
-  wrs[0].addr = addr_a;
-  wrs[0].buf = word_a;
-  wrs[0].len = sizeof(uint64_t);
-  wrs[1] = wrs[0];
-  wrs[1].addr = addr_b;
-  wrs[1].buf = word_b;
-  auto ns = qp_.PostBatch(wrs, 2);
-  if (!ns.ok() || !wrs[0].status.ok() || !wrs[1].status.ok()) {
-    if (qp_.state() == rdma::QueuePair::State::kError) {
-      stats_.qp_reconnects++;
-      qp_.Reconnect();
-    }
-    if (!ns.ok()) return ns.status();
-    return wrs[0].status.ok() ? wrs[1].status : wrs[0].status;
-  }
-  stats_.modeled_ns_total += *ns;
-  NodeStatShard& shard = node_->client_stat_shard();
-  ++shard.doorbell_batches;
-  shard.doorbell_batched_wrs += 2;
-  return Status::OK();
-}
-
 Status Context::LockCas(rdma::RKey r_key, sim::VAddr vaddr, uint64_t expected,
                         uint64_t desired, uint64_t* prior) {
   if (options_.local) {
@@ -364,27 +328,6 @@ Status Context::LockCas(rdma::RKey r_key, sim::VAddr vaddr, uint64_t expected,
     return Status::OK();
   }
   auto ns = qp_.CompareSwap(r_key, vaddr, expected, desired, prior);
-  if (!ns.ok()) {
-    if (ns.status().IsQpBroken()) {
-      stats_.qp_reconnects++;
-      qp_.Reconnect();
-    }
-    return ns.status();
-  }
-  stats_.modeled_ns_total += *ns;
-  return Status::OK();
-}
-
-Status Context::LockFetchAdd(rdma::RKey r_key, sim::VAddr vaddr,
-                             uint64_t addend, uint64_t* prior) {
-  if (options_.local) {
-    sim::FrameEpoch::Guard epoch;
-    uint8_t* p = node_->rnic()->address_space()->TranslatePtr(vaddr);
-    *prior = std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(p))
-                 .fetch_add(addend, std::memory_order_acq_rel);
-    return Status::OK();
-  }
-  auto ns = qp_.FetchAdd(r_key, vaddr, addend, prior);
   if (!ns.ok()) {
     if (ns.status().IsQpBroken()) {
       stats_.qp_reconnects++;
@@ -414,10 +357,6 @@ void Context::CountSyncEvent(sync::SyncEvent event) {
     case sync::SyncEvent::kLockTimeout:
       stats_.sync_lock_timeouts++;
       ++shard.sync_lock_timeouts;
-      break;
-    case sync::SyncEvent::kEpochFence:
-      stats_.sync_epoch_fences++;
-      ++shard.sync_epoch_fences;
       break;
   }
 }
@@ -514,7 +453,7 @@ Status Context::ProbeBuckets(uint64_t key, GlobalAddr* addr) {
   uint64_t epoch = 0;
   index::IndexBucket snap[2];
   uint64_t reseq[2] = {0, 0};
-  if (options_.local || !node_->config().doorbell_batching) {
+  if (options_.local) {
     CORM_RETURN_NOT_OK(RawRead(table.r_key, table.base, &epoch, sizeof(epoch)));
     CORM_RETURN_NOT_OK(
         RawRead(table.r_key, table.BucketAddr(b1), &snap[0], sizeof(snap[0])));

@@ -54,7 +54,6 @@ struct ClientStats {
   uint64_t sync_lock_conflicts = 0;
   uint64_t sync_lock_steals = 0;
   uint64_t sync_lock_timeouts = 0;
-  uint64_t sync_epoch_fences = 0;
   uint64_t direct_read_batches = 0;  // chained multi-slot posts issued
   // Keyed access layer (DESIGN.md §13); the same events also land on the
   // node's index_* shard counters for cluster-wide aggregation.
@@ -112,8 +111,7 @@ class Context : public sync::SyncMedium {
   // per-object failure (OK when all succeeded). Batched reads always use
   // optimistic validation — a single READ WR is the only scheme whose guard
   // chains — so lock schemes apply to DirectRead, not to batches. Falls
-  // back to sequential DirectReads when colocated or when
-  // config.doorbell_batching is off (the bench A/B lever).
+  // back to sequential DirectReads when colocated (nothing to amortize).
   Status DirectReadBatch(const GlobalAddr* addrs, size_t n, void* bufs,
                          size_t size, Status* statuses);
 
@@ -149,13 +147,8 @@ class Context : public sync::SyncMedium {
   sync::SchemeKind sync_scheme() const { return scheme_->kind(); }
 
   // --- sync::SyncMedium (the scheme's window into this client). ----------
-  Status LockRead(rdma::RKey r_key, sim::VAddr vaddr, uint64_t* word) override;
-  Status LockReadPair(rdma::RKey r_key, sim::VAddr addr_a, sim::VAddr addr_b,
-                      uint64_t* word_a, uint64_t* word_b) override;
   Status LockCas(rdma::RKey r_key, sim::VAddr vaddr, uint64_t expected,
                  uint64_t desired, uint64_t* prior) override;
-  Status LockFetchAdd(rdma::RKey r_key, sim::VAddr vaddr, uint64_t addend,
-                      uint64_t* prior) override;
   // The validated snapshot read every scheme guards: RawRead + header/
   // version validation, no retry and no stats (DirectRead layers those).
   Status SnapshotRead(const GlobalAddr& addr, void* buf, size_t size) override;

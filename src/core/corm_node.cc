@@ -47,13 +47,13 @@ CormNode::CormNode(CormConfig config)
     rpc_queue_.doorbell(static_cast<int>(ring % config_.num_workers))->Ring();
   });
 
-  // Sync-lock table (DESIGN.md §12): epoch word + one lock word per slot,
-  // mapped fresh (all-zero: epoch 0, every slot free) and registered ODP
-  // like a repl ring so remote CAS/FETCH_ADD verbs reach it.
+  // Sync-lock table (DESIGN.md §12): one lock word per slot, mapped fresh
+  // (all-zero: every slot free) and registered ODP like a repl ring so
+  // remote CAS verbs reach it.
   sync_table_slots_ =
       static_cast<uint32_t>(std::max<size_t>(config_.sync_lock_slots, 1));
-  const size_t table_bytes = (1 + static_cast<size_t>(sync_table_slots_)) *
-                             sizeof(uint64_t);
+  const size_t table_bytes =
+      static_cast<size_t>(sync_table_slots_) * sizeof(uint64_t);
   sync_table_pages_ = (table_bytes + sim::kVPageSize - 1) / sim::kVPageSize;
   // Virtual ranges are reserved at block granularity (see BlockBaseOf in
   // core/addr.h): round the table up so the blocks reserved after it stay
@@ -137,23 +137,6 @@ CormNode::~CormNode() {
     space_->Unmap(index_table_base_, index_table_pages_).ok();
     space_->ReleaseRange(index_table_base_, index_table_pages_);
   }
-}
-
-uint64_t CormNode::SyncEpoch() const {
-  sim::FrameEpoch::Guard epoch;
-  const uint8_t* p = space_->TranslatePtr(sync_table_base_);
-  return std::atomic_ref<const uint64_t>(
-             *reinterpret_cast<const uint64_t*>(p))
-      .load(std::memory_order_acquire);
-}
-
-void CormNode::SealSyncEpoch() {
-  // Local CPU atomic on the registered word: coherent with remote RNIC
-  // atomics (IBV_ATOMIC_GLOB semantics, see Rnic::MttAtomic).
-  sim::FrameEpoch::Guard epoch;
-  uint8_t* p = space_->TranslatePtr(sync_table_base_);
-  std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(p))
-      .fetch_add(1, std::memory_order_acq_rel);
 }
 
 uint64_t CormNode::IndexEpoch() const { return index_view_->Epoch(); }
@@ -355,7 +338,6 @@ NodeStats CormNode::stats() const {
     out.sync_lock_conflicts += s.sync_lock_conflicts.Load();
     out.sync_lock_steals += s.sync_lock_steals.Load();
     out.sync_lock_timeouts += s.sync_lock_timeouts.Load();
-    out.sync_epoch_fences += s.sync_epoch_fences.Load();
     out.doorbell_batches += s.doorbell_batches.Load();
     out.doorbell_batched_wrs += s.doorbell_batched_wrs.Load();
     out.index_lookups += s.index_lookups.Load();

@@ -116,10 +116,10 @@ struct CormConfig {
   // two messages, so ops saturate at half this rate (Fig. 12). 0 = no cap.
   uint64_t nic_msg_rate = 1'400'000;
 
-  // --- Remote synchronization & doorbell batching (DESIGN.md §12). -------
+  // --- Remote synchronization (DESIGN.md §12). ----------------------------
   // Client read/write synchronization scheme (the §12 shootout knob):
-  // optimistic versioned reads, an RDMA-CAS spinlock, or the lease/epoch
-  // reader-writer lock. Snapshot validation stays on in every scheme.
+  // optimistic versioned reads or an RDMA-CAS spinlock. Snapshot validation
+  // stays on in every scheme.
   sync::SchemeKind sync_scheme = sync::SchemeKind::kOptimistic;
   // Lock words in this node's registered sync-lock table (objects hash to
   // slots; collisions are safe, just extra contention).
@@ -127,10 +127,6 @@ struct CormConfig {
   // How long a waiter watches an unchanged held lock word before stealing
   // it (crashed-holder recovery, fault site sync.holder_crash).
   uint64_t sync_lease_ns = 2'000'000;
-  // Client contexts coalesce multi-slot reads (and the replication layer
-  // its quorum ack polls) into chained posts: one doorbell + one
-  // completion per chain.
-  bool doorbell_batching = true;
 
   // --- Keyed index (DESIGN.md §13). --------------------------------------
   // Buckets in this node's registered index table (4-way buckets, two
@@ -206,7 +202,6 @@ struct NodeStatShard {
   StatCounter sync_lock_conflicts;   // attempts that saw a competing holder
   StatCounter sync_lock_steals;      // leases expired and slots stolen
   StatCounter sync_lock_timeouts;    // acquire retry budgets exhausted
-  StatCounter sync_epoch_fences;     // stale-epoch lock words fenced
   StatCounter doorbell_batches;      // chained posts (one doorbell each)
   StatCounter doorbell_batched_wrs;  // WRs those chains carried
   // Keyed-index instrumentation (DESIGN.md §13). Lookup-side counters are
@@ -269,7 +264,6 @@ struct NodeStats {
   uint64_t sync_lock_conflicts = 0;
   uint64_t sync_lock_steals = 0;
   uint64_t sync_lock_timeouts = 0;
-  uint64_t sync_epoch_fences = 0;
   uint64_t doorbell_batches = 0;
   uint64_t doorbell_batched_wrs = 0;
   uint64_t index_lookups = 0;
@@ -438,9 +432,9 @@ class CormNode {
   NodeStatShard& client_stat_shard() { return stat_shard(-1); }
 
   // --- Sync-lock table (DESIGN.md §12). ----------------------------------
-  // Remote-access coordinates of this node's sync-lock table: word 0 is
-  // the sync epoch, words 1..sync_lock_slots are lock words hashed by
-  // object address. Registered (ODP) at construction, like a repl ring.
+  // Remote-access coordinates of this node's sync-lock table:
+  // sync_lock_slots lock words hashed by object address. Registered (ODP)
+  // at construction, like a repl ring.
   sync::LockTableCoords sync_table() const {
     sync::LockTableCoords coords;
     coords.base = sync_table_base_;
@@ -448,13 +442,6 @@ class CormNode {
     coords.slots = sync_table_slots_;
     return coords;
   }
-  // Current sync epoch (word 0 of the table).
-  uint64_t SyncEpoch() const;
-  // Bumps the sync epoch. Invoked whenever a failover seal record is
-  // applied (worker.cc), so lease_rw lock words minted before the seal are
-  // fenced by their next acquirer — the PR-7 epoch machinery extended to
-  // lock state. Public for tests.
-  void SealSyncEpoch();
 
   // --- Keyed index table (DESIGN.md §13). --------------------------------
   // Remote-access coordinates of this node's index bucket table: word 0 is

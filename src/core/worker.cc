@@ -785,10 +785,6 @@ bool Worker::ApplyReplRecord(const rdma::ReplRecordHeader& hdr,
         std::memcpy(repl_seal_scratch_.data(), &stored, sizeof(stored));
         img = repl_seal_scratch_.data();
         img_len = full;
-        // The seal also fences lock state (DESIGN.md §12): bump the node's
-        // sync epoch so lease_rw lock words minted before the failover are
-        // reset by their next acquirer, exactly like stale-epoch records.
-        node_->SealSyncEpoch();
       } else {
         ++stats_.repl_apply_dups;  // already sealed to this epoch or newer
       }

@@ -18,10 +18,6 @@ std::unique_ptr<RemoteSyncScheme> MakeCasSpinlockScheme(
     SyncMedium* medium, const LockTableCoords& table,
     const SchemeOptions& options, uint16_t owner_id);
 
-std::unique_ptr<RemoteSyncScheme> MakeLeaseRwScheme(
-    SyncMedium* medium, const LockTableCoords& table,
-    const SchemeOptions& options, uint16_t owner_id);
-
 }  // namespace corm::sync::internal
 
 #endif  // CORM_SYNC_SCHEME_INTERNAL_H_

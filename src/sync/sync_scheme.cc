@@ -20,7 +20,7 @@ uint64_t Mix64(uint64_t x) {
 
 // Process-wide owner-id mint: 15-bit, nonzero, wraps. Collisions after wrap
 // are tolerable — owner ids only attribute holds, correctness rides on the
-// generation/epoch fields.
+// generation field.
 std::atomic<uint32_t> g_next_owner{0};
 
 uint16_t MintOwnerId() {
@@ -36,8 +36,6 @@ const char* SchemeName(SchemeKind kind) {
       return "optimistic";
     case SchemeKind::kCasSpinlock:
       return "cas_spinlock";
-    case SchemeKind::kLeaseRw:
-      return "lease_rw";
   }
   return "unknown";
 }
@@ -47,8 +45,6 @@ bool ParseSchemeKind(std::string_view name, SchemeKind* out) {
     *out = SchemeKind::kOptimistic;
   } else if (name == "cas_spinlock") {
     *out = SchemeKind::kCasSpinlock;
-  } else if (name == "lease_rw") {
-    *out = SchemeKind::kLeaseRw;
   } else {
     return false;
   }
@@ -59,7 +55,7 @@ sim::VAddr RemoteSyncScheme::LockWordAddr(const core::GlobalAddr& addr) const {
   CORM_CHECK(table_.slots > 0) << "sync-lock table has no slots";
   // Slots are >= 16-byte objects; dropping the low bits before hashing keeps
   // the stream identical for the slot's whole lifetime.
-  const uint64_t slot = 1 + Mix64(addr.vaddr >> 4) % table_.slots;
+  const uint64_t slot = Mix64(addr.vaddr >> 4) % table_.slots;
   return table_.base + slot * sizeof(uint64_t);
 }
 
@@ -73,8 +69,6 @@ std::unique_ptr<RemoteSyncScheme> MakeScheme(SchemeKind kind,
       return internal::MakeOptimisticScheme(medium, table, options, owner);
     case SchemeKind::kCasSpinlock:
       return internal::MakeCasSpinlockScheme(medium, table, options, owner);
-    case SchemeKind::kLeaseRw:
-      return internal::MakeLeaseRwScheme(medium, table, options, owner);
   }
   CORM_CHECK(false) << "unknown sync scheme kind";
   return nullptr;

@@ -15,12 +15,6 @@
 //                 with RetryPolicy-bounded backoff and a generation-stamped
 //                 lease so a crashed holder (fault site sync.holder_crash)
 //                 is stolen from instead of wedging every peer.
-//   kLeaseRw      lease/epoch reader-writer lock: readers FETCH_ADD a
-//                 shared count, writers CAS an exclusive owner; the epoch
-//                 half reuses the PR-7 seal machinery — a failover seal
-//                 bumps the table's sync epoch and every lock word minted
-//                 under an older epoch is fenced (reset) by the next
-//                 acquirer, exactly like stale-epoch log records.
 //
 // Layering: this library sits below core (it links only rdma/sim/common).
 // Everything node- or client-specific — how lock words are read/CAS'd, how
@@ -44,23 +38,21 @@ namespace corm::sync {
 enum class SchemeKind : uint8_t {
   kOptimistic = 0,
   kCasSpinlock = 1,
-  kLeaseRw = 2,
 };
 
-inline constexpr int kNumSchemeKinds = 3;
+inline constexpr int kNumSchemeKinds = 2;
 
 // Canonical names used by config parsing, benches, and CI ("optimistic",
-// "cas_spinlock", "lease_rw").
+// "cas_spinlock").
 const char* SchemeName(SchemeKind kind);
 bool ParseSchemeKind(std::string_view name, SchemeKind* out);
 
-// Remote coordinates of a node's sync-lock table: word 0 is the node's
-// sync epoch (bumped by failover seals), words 1..slots are lock words
+// Remote coordinates of a node's sync-lock table: `slots` lock words
 // hashed by object address. Lives in registered memory like a ReplLogRing.
 struct LockTableCoords {
   sim::VAddr base = 0;
   rdma::RKey r_key = 0;
-  uint32_t slots = 0;  // lock words after the epoch word
+  uint32_t slots = 0;
 };
 
 // Events a scheme reports for stats attribution (NodeStatShard sync_*
@@ -70,7 +62,6 @@ enum class SyncEvent : uint8_t {
   kLockConflict,  // an attempt observed a competing holder
   kLockSteal,     // a lease expired and the word was taken from its holder
   kLockTimeout,   // the RetryPolicy budget expired without the lock
-  kEpochFence,    // a stale-epoch lock word was fenced (reset or ignored)
 };
 
 // The medium through which a scheme touches remote memory: implemented by
@@ -81,19 +72,10 @@ class SyncMedium {
  public:
   virtual ~SyncMedium() = default;
 
-  virtual Status LockRead(rdma::RKey r_key, sim::VAddr addr,
-                          uint64_t* word) = 0;
-  // Reads two lock-table words in one chained post when batching is on
-  // (epoch word + lock word — the lease/epoch writer's preflight).
-  virtual Status LockReadPair(rdma::RKey r_key, sim::VAddr addr_a,
-                              sim::VAddr addr_b, uint64_t* word_a,
-                              uint64_t* word_b) = 0;
   // One-sided CAS; `*prior` gets the word's previous contents (the CAS won
   // iff *prior == expected).
   virtual Status LockCas(rdma::RKey r_key, sim::VAddr addr, uint64_t expected,
                          uint64_t desired, uint64_t* prior) = 0;
-  virtual Status LockFetchAdd(rdma::RKey r_key, sim::VAddr addr,
-                              uint64_t addend, uint64_t* prior) = 0;
   // Validated object snapshot read (RDMA read + header/lock/version
   // checks): kOk, or kObjectMoved / kObjectLocked / kTornRead / kQpBroken.
   virtual Status SnapshotRead(const core::GlobalAddr& addr, void* buf,
@@ -138,29 +120,6 @@ struct CasLockWord {
   }
 };
 
-// Lease/epoch reader-writer word: 16-bit epoch, 16-bit writer (0 = none),
-// 32-bit reader count in the low half so reader entry/exit is a plain
-// FETCH_ADD(±1) that cannot carry into the writer field while any reader
-// (including the one doing the exit) holds a count.
-struct RwLockWord {
-  uint16_t epoch = 0;
-  uint16_t writer = 0;   // 0 = no writer
-  uint32_t readers = 0;
-
-  constexpr uint64_t Pack() const {
-    return (static_cast<uint64_t>(epoch) << 48) |
-           (static_cast<uint64_t>(writer) << 32) |
-           static_cast<uint64_t>(readers);
-  }
-  static constexpr RwLockWord Unpack(uint64_t w) {
-    RwLockWord l;
-    l.epoch = static_cast<uint16_t>(w >> 48);
-    l.writer = static_cast<uint16_t>((w >> 32) & 0xffff);
-    l.readers = static_cast<uint32_t>(w);
-    return l;
-  }
-};
-
 // --- The scheme interface. -------------------------------------------------
 
 // One instance per client context (single-threaded, like the context that
@@ -191,7 +150,6 @@ class RemoteSyncScheme {
   // hot objects rarely collide (collisions are safe — just extra
   // contention on the shared word).
   sim::VAddr LockWordAddr(const core::GlobalAddr& addr) const;
-  sim::VAddr EpochWordAddr() const { return table_.base; }
 
   SyncMedium* const medium_;
   const LockTableCoords table_;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "alloc/fragmentation.h"
+#include "common/retry.h"
 #include "core/client.h"
 #include "core/corm_node.h"
 #include "core/object_layout.h"
@@ -304,6 +305,17 @@ TEST(CompactionEngineTest, ReadersAndWritersInterleaveWithSlicedRuns) {
       }
     }
   });
+
+  // Start latch: the four rounds below can finish before either thread is
+  // scheduled, and a thread that first sees `stop` set never issues an op.
+  // Let each complete one op before the first Compact (bounded, so a
+  // wedged thread fails the EXPECT_GTs below instead of hanging).
+  Deadline latch(10'000'000'000);
+  while ((reads_ok.load(std::memory_order_relaxed) == 0 ||
+          writes_ok.load(std::memory_order_relaxed) == 0) &&
+         !latch.Expired()) {
+    std::this_thread::yield();
+  }
 
   // Sliced runs interleave with the traffic above; later rounds may find
   // nothing left to merge, which still exercises Select/Reclaim.

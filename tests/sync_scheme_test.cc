@@ -1,12 +1,11 @@
 // Per-scheme correctness for the remote synchronization shootout
 // (DESIGN.md §12): lock-word packing, read/write roundtrips under every
 // sync::SchemeKind, crashed-holder lease recovery (fault site
-// sim::fault_sites::kSyncHolderCrash), epoch fencing of stale lockers via
-// CormNode::SealSyncEpoch, doorbell-batched multi-object reads, and a
-// concurrent chaos run asserting torn writes are never visible regardless
-// of scheme.
+// sim::fault_sites::kSyncHolderCrash), doorbell-batched multi-object reads,
+// and a concurrent chaos run asserting torn writes are never visible
+// regardless of scheme.
 //
-// CORM_SYNC_SCHEME=<optimistic|cas_spinlock|lease_rw> narrows the
+// CORM_SYNC_SCHEME=<optimistic|cas_spinlock> narrows the
 // per-scheme cases to one scheme (the CI sync-matrix lever); unset, every
 // scheme runs.
 
@@ -72,8 +71,7 @@ bool SchemeSelected(SchemeKind kind) {
 // --- Names and word layouts -------------------------------------------------
 
 TEST(SyncSchemeTest, SchemeNamesRoundTrip) {
-  for (SchemeKind kind : {SchemeKind::kOptimistic, SchemeKind::kCasSpinlock,
-                          SchemeKind::kLeaseRw}) {
+  for (SchemeKind kind : {SchemeKind::kOptimistic, SchemeKind::kCasSpinlock}) {
     SchemeKind parsed;
     ASSERT_TRUE(sync::ParseSchemeKind(sync::SchemeName(kind), &parsed));
     EXPECT_EQ(parsed, kind);
@@ -92,32 +90,6 @@ TEST(SyncSchemeTest, CasLockWordPacksAllFields) {
   EXPECT_EQ(r.owner, 0x7abc);
   EXPECT_EQ(r.gen, 0xdead'beef'cafeULL);
   EXPECT_EQ(sync::CasLockWord{}.Pack(), 0u);  // pristine slot == zeroed word
-}
-
-TEST(SyncSchemeTest, RwLockWordPacksAllFields) {
-  sync::RwLockWord w;
-  w.epoch = 0x1234;
-  w.writer = 0x5678;
-  w.readers = 0x9abc'def0;
-  const sync::RwLockWord r = sync::RwLockWord::Unpack(w.Pack());
-  EXPECT_EQ(r.epoch, 0x1234);
-  EXPECT_EQ(r.writer, 0x5678);
-  EXPECT_EQ(r.readers, 0x9abc'def0u);
-  // Reader entry is FETCH_ADD(+1): it must not carry into the writer field
-  // until the count saturates 32 bits.
-  sync::RwLockWord full = r;
-  full.readers = 0xffff'fffe;
-  const sync::RwLockWord bumped = sync::RwLockWord::Unpack(full.Pack() + 1);
-  EXPECT_EQ(bumped.writer, full.writer);
-  EXPECT_EQ(bumped.readers, 0xffff'ffffu);
-}
-
-TEST(SyncSchemeTest, SealBumpsSyncEpoch) {
-  core::CormNode node(NodeConfigFor(SchemeKind::kLeaseRw));
-  EXPECT_EQ(node.SyncEpoch(), 0u);
-  node.SealSyncEpoch();
-  node.SealSyncEpoch();
-  EXPECT_EQ(node.SyncEpoch(), 2u);
 }
 
 // --- Per-scheme roundtrips --------------------------------------------------
@@ -201,10 +173,12 @@ TEST_P(PerSchemeTest, DirectReadBatchCoalescesAndValidates) {
 
 TEST_P(PerSchemeTest, BatchingOffFallsBackToSequentialReads) {
   if (!SchemeSelected(GetParam())) GTEST_SKIP() << "CORM_SYNC_SCHEME filter";
-  core::CormConfig config = NodeConfigFor(GetParam());
-  config.doorbell_batching = false;
-  core::CormNode node(config);
-  auto ctx = core::Context::Create(&node);
+  // A colocated context has no doorbell to amortize: DirectReadBatch runs
+  // sequential DirectReads and posts no chain.
+  core::CormNode node(NodeConfigFor(GetParam()));
+  core::Context::Options colocated;
+  colocated.local = true;
+  auto ctx = core::Context::Create(&node, colocated);
 
   constexpr size_t kObjects = 4;
   std::vector<GlobalAddr> addrs;
@@ -231,8 +205,7 @@ TEST_P(PerSchemeTest, BatchingOffFallsBackToSequentialReads) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, PerSchemeTest,
                          ::testing::Values(SchemeKind::kOptimistic,
-                                           SchemeKind::kCasSpinlock,
-                                           SchemeKind::kLeaseRw),
+                                           SchemeKind::kCasSpinlock),
                          [](const auto& info) {
                            return std::string(sync::SchemeName(info.param));
                          });
@@ -311,53 +284,10 @@ TEST_P(HolderCrashTest, BoundedRetryConvertsWedgeToTimeout) {
 }
 
 INSTANTIATE_TEST_SUITE_P(LockSchemes, HolderCrashTest,
-                         ::testing::Values(SchemeKind::kCasSpinlock,
-                                           SchemeKind::kLeaseRw),
+                         ::testing::Values(SchemeKind::kCasSpinlock),
                          [](const auto& info) {
                            return std::string(sync::SchemeName(info.param));
                          });
-
-// --- Epoch fencing (lease_rw x the PR-7 seal machinery) ---------------------
-
-TEST(EpochFenceTest, SealFencesStaleLockWordsWithoutLeaseWait) {
-  if (!SchemeSelected(SchemeKind::kLeaseRw)) {
-    GTEST_SKIP() << "CORM_SYNC_SCHEME filter";
-  }
-  // A crashed holder's word survives under epoch 0 with a 10 s lease: only
-  // the epoch fence can free it in test time.
-  core::CormConfig config = NodeConfigFor(SchemeKind::kLeaseRw);
-  config.sync_lease_ns = 10'000'000'000;
-  core::CormNode node(config);
-  auto victim = core::Context::Create(&node);
-  auto survivor = core::Context::Create(&node);
-
-  auto addr = victim->Alloc(64);
-  ASSERT_TRUE(addr.ok());
-  std::vector<uint8_t> in(64), out(64);
-  PatternFill(31, in.data(), in.size());
-
-  sim::FaultInjector inj(7);
-  sim::FaultSchedule sched;
-  sched.one_shot_at = 1;
-  inj.Arm(sim::fault_sites::kSyncHolderCrash, sched);
-  {
-    sim::ScopedFaultInjector scoped(&inj);
-    ASSERT_TRUE(victim->Write(&*addr, in.data(), in.size()).ok());
-  }
-
-  // The failover seal (worker seal-record apply path calls this) bumps the
-  // sync epoch: every lock word minted before it is void.
-  node.SealSyncEpoch();
-
-  PatternFill(32, in.data(), in.size());
-  ASSERT_TRUE(survivor->Write(&*addr, in.data(), in.size()).ok());
-  EXPECT_GE(survivor->stats().sync_epoch_fences, 1u);
-  EXPECT_GE(node.stats().sync_epoch_fences, 1u);
-  EXPECT_EQ(survivor->stats().sync_lock_steals, 0u);  // fence, not lease
-
-  ASSERT_TRUE(survivor->DirectRead(*addr, out.data(), out.size()).ok());
-  EXPECT_TRUE(PatternCheck(32, out.data(), out.size()));
-}
 
 // --- DSM routing of batched reads -------------------------------------------
 
@@ -408,7 +338,7 @@ TEST(DsmBatchTest, BatchRoutesPerNodeRunsAndIsolatesDeadNodes) {
 
 // Writers rewrite each object's fixed pattern while readers DirectRead;
 // with torn publishes and crashed holders injected, every *successful*
-// read must still hand back a complete pattern — under all three schemes,
+// read must still hand back a complete pattern — under every scheme,
 // because validation layers beneath every lock protocol.
 class SchemeChaosTest : public ::testing::TestWithParam<SchemeKind> {};
 
@@ -484,8 +414,7 @@ TEST_P(SchemeChaosTest, NoTornReadEscapesUnderAnyScheme) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeChaosTest,
                          ::testing::Values(SchemeKind::kOptimistic,
-                                           SchemeKind::kCasSpinlock,
-                                           SchemeKind::kLeaseRw),
+                                           SchemeKind::kCasSpinlock),
                          [](const auto& info) {
                            return std::string(sync::SchemeName(info.param));
                          });

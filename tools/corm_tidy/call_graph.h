@@ -28,7 +28,7 @@
 //                               returning — callers may treat the call as a
 //                               revalidation point
 //
-// Summaries are keyed by *bare* name: the token engine cannot resolve
+// Summaries are keyed by *bare* name: a token scan cannot resolve
 // overloads or receivers, so two unrelated methods that share a name share
 // a summary. That conflation only ever merges facts (a name is
 // remap-advancing if ANY function of that name is), i.e. the analysis

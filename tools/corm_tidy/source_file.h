@@ -1,10 +1,9 @@
-// corm-tidy: source model shared by both engines.
+// corm-tidy: source model shared by every check.
 //
 // A SourceFile carries the lexed token stream plus the *comment layer* —
 // NOLINT suppressions, escape rationales, and the `// corm-hotpath` file
-// contract. Both engines (AST and token) route their diagnostics through
-// the same suppression logic so a NOLINT means the same thing regardless of
-// which engine happened to be available on the build host.
+// contract. Every check routes its diagnostics through the same
+// suppression logic so a NOLINT means the same thing everywhere.
 
 #ifndef CORM_TIDY_SOURCE_FILE_H_
 #define CORM_TIDY_SOURCE_FILE_H_

@@ -17,8 +17,8 @@
 //
 // The layout computation is deliberately token-based with an explicit
 // type-size table (standard fixed-width types plus the project aliases
-// VAddr/RKey/LockState), NOT an AST/sizeof pass: the golden must be
-// byte-identical on every host, including ones without libclang, and the
+// VAddr/RKey/LockState), NOT a compiler sizeof pass: the golden must be
+// byte-identical on every host, whatever its compiler, and the
 // wire structs use exactly the C layout rules the table encodes (verified
 // against the sources' own sizeof static_asserts — a mismatch is a hard
 // error, not a silent difference).
