@@ -67,11 +67,9 @@ void BM_HeaderCas(benchmark::State& state) {
   h.version = 1;
   core::StoreHeaderWord(slot, h.Pack());
   for (auto _ : state) {
-    uint64_t w = core::LoadHeaderWord(slot);
-    core::ObjectHeader locked = core::ObjectHeader::Unpack(w);
-    locked.lock = core::LockState::kWriteLocked;
-    core::CasHeaderWord(slot, w, locked.Pack());
-    core::StoreHeaderWord(slot, h.Pack());
+    benchmark::DoNotOptimize(core::ClaimHeader(
+        slot, h.obj_id, core::LockState::kWriteLocked, /*spin_bound=*/0));
+    core::ReleaseClaim(slot, core::LockState::kWriteLocked);
   }
 }
 BENCHMARK(BM_HeaderCas);

@@ -82,8 +82,8 @@ int main() {
     std::printf(" %d", NodeOf(replica));
   }
   const int victim = NodeOf(robj->primary());
-  std::printf("\nkilling primary node %d...\n", victim);
-  cluster.KillNode(victim);
+  std::printf("\ncrashing primary node %d...\n", victim);
+  cluster.CrashNode(victim);
   std::vector<uint8_t> out(200);
   if (rctx.Read(&*robj, out.data(), 200).ok() &&
       core::PatternCheck(777, out.data(), 200)) {
@@ -94,7 +94,8 @@ int main() {
     std::printf("FAILOVER FAILED\n");
     return 1;
   }
-  cluster.ReviveNode(victim);
+  cluster.RestartNode(victim);
+  cluster.Heartbeat();
   std::printf("\ndone: compaction stayed node-local and never disturbed\n"
               "cross-node pointers or replicas.\n");
   return verified == survivors.size() ? 0 : 1;

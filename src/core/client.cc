@@ -83,14 +83,24 @@ Status Context::RawRead(rdma::RKey r_key, sim::VAddr vaddr, void* buf,
   }
   auto ns = qp_.Read(r_key, vaddr, buf, len);
   if (!ns.ok()) {
-    if (ns.status().IsQpBroken()) {
-      stats_.qp_reconnects++;
-      qp_.Reconnect();
-    }
+    RecoverQp();
     return ns.status();
   }
   stats_.modeled_ns_total += *ns;
   return Status::OK();
+}
+
+void Context::RecoverQp() {
+  if (qp_.state() != rdma::QueuePair::State::kError) return;
+  stats_.qp_reconnects++;
+  qp_.Reconnect();
+}
+
+void Context::CountReadFailure(const Status& st) {
+  stats_.direct_read_failures++;
+  if (st.IsTornRead()) stats_.torn_reads++;
+  if (st.IsObjectLocked()) stats_.locked_reads++;
+  if (st.IsObjectMoved()) stats_.moved_reads++;
 }
 
 // Tracks the modeled duration of one public API call.
@@ -232,12 +242,7 @@ Status Context::DirectRead(const GlobalAddr& addr, void* buf, size_t size) {
   OpTimer timer(this);
   stats_.direct_reads++;
   Status st = scheme_->GuardedRead(addr, buf, size);
-  if (!st.ok()) {
-    stats_.direct_read_failures++;
-    if (st.IsTornRead()) stats_.torn_reads++;
-    if (st.IsObjectLocked()) stats_.locked_reads++;
-    if (st.IsObjectMoved()) stats_.moved_reads++;
-  }
+  if (!st.ok()) CountReadFailure(st);
   return st;
 }
 
@@ -273,8 +278,10 @@ Status Context::DirectReadBatch(const GlobalAddr* addrs, size_t n, void* bufs,
     auto ns = qp_.PostBatch(wrs, k);
     if (!ns.ok()) {
       // Whole-chain failure (QP already broken): every op inherits it.
-      for (size_t i = 0; i < k; ++i) statuses[done + i] = ns.status();
-      stats_.direct_read_failures += k;
+      for (size_t i = 0; i < k; ++i) {
+        statuses[done + i] = ns.status();
+        CountReadFailure(ns.status());
+      }
       if (first.ok()) first = ns.status();
     } else {
       stats_.modeled_ns_total += *ns;
@@ -292,19 +299,13 @@ Status Context::DirectReadBatch(const GlobalAddr* addrs, size_t n, void* bufs,
               out + (done + i) * size, size);
         }
         if (!st.ok()) {
-          stats_.direct_read_failures++;
-          if (st.IsTornRead()) stats_.torn_reads++;
-          if (st.IsObjectLocked()) stats_.locked_reads++;
-          if (st.IsObjectMoved()) stats_.moved_reads++;
+          CountReadFailure(st);
           if (first.ok()) first = st;
         }
         statuses[done + i] = st;
       }
     }
-    if (qp_.state() == rdma::QueuePair::State::kError) {
-      stats_.qp_reconnects++;
-      qp_.Reconnect();
-    }
+    RecoverQp();
     done += k;
   }
   return first;
@@ -329,10 +330,7 @@ Status Context::LockCas(rdma::RKey r_key, sim::VAddr vaddr, uint64_t expected,
   }
   auto ns = qp_.CompareSwap(r_key, vaddr, expected, desired, prior);
   if (!ns.ok()) {
-    if (ns.status().IsQpBroken()) {
-      stats_.qp_reconnects++;
-      qp_.Reconnect();
-    }
+    RecoverQp();
     return ns.status();
   }
   stats_.modeled_ns_total += *ns;
@@ -373,23 +371,15 @@ Status Context::ScanRead(GlobalAddr* addr, void* buf, size_t size) {
   const sim::VAddr base = BlockBaseOf(addr->vaddr, block_bytes);
   CORM_RETURN_NOT_OK(RawRead(addr->r_key, base, scratch_.data(), block_bytes));
 
-  const ConsistencyMode mode = node_->config().consistency;
   const uint32_t num_slots = static_cast<uint32_t>(block_bytes / slot_size);
   for (uint32_t slot = 0; slot < num_slots; ++slot) {
     const uint8_t* sptr = scratch_.data() + slot * slot_size;
     const ObjectHeader h =
         ObjectHeader::Unpack(*reinterpret_cast<const uint64_t*>(sptr));
     if (h.obj_id != addr->obj_id || h.lock == LockState::kTombstone) continue;
-    if (h.lock != LockState::kFree) {
-      return Status::ObjectLocked("object locked during scan");
-    }
-    if (!SnapshotConsistent(sptr, slot_size, mode)) {
-      return Status::TornRead("torn object during scan");
-    }
-    if (size > PayloadCapacity(slot_size, mode)) {
-      return Status::InvalidArgument("read larger than object payload");
-    }
-    ReadPayload(sptr, slot_size, buf, static_cast<uint32_t>(size), mode);
+    // The first live slot with the ID is the object: validate it exactly
+    // as a DirectRead snapshot.
+    CORM_RETURN_NOT_OK(ValidateAndExtract(sptr, slot_size, *addr, buf, size));
     const sim::VAddr corrected = base + static_cast<uint64_t>(slot) * slot_size;
     if (corrected != addr->vaddr) stats_.pointer_corrections++;
     addr->vaddr = corrected;  // pointer is direct again (§3.2)
@@ -487,10 +477,7 @@ Status Context::ProbeBuckets(uint64_t key, GlobalAddr* addr) {
     wrs[4].len = sizeof(uint64_t);
     auto ns = qp_.PostBatch(wrs, 5);
     if (!ns.ok()) {
-      if (qp_.state() == rdma::QueuePair::State::kError) {
-        stats_.qp_reconnects++;
-        qp_.Reconnect();
-      }
+      RecoverQp();
       return ns.status();
     }
     stats_.modeled_ns_total += *ns;

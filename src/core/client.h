@@ -167,6 +167,13 @@ class Context : public sync::SyncMedium {
   // One-sided read of `len` bytes at `vaddr` (network or local).
   Status RawRead(rdma::RKey r_key, sim::VAddr vaddr, void* buf, size_t len);
 
+  // Reconnects the QP when a verb left it in the error state (paper §3.5),
+  // counting qp_reconnects.
+  void RecoverQp();
+
+  // Tallies one failed one-sided read by its cause.
+  void CountReadFailure(const Status& st);
+
   // The RPC half of Write(); the public Write brackets it with the sync
   // scheme's AcquireWrite/ReleaseWrite.
   Status WriteRpc(GlobalAddr* addr, const void* buf, size_t size);

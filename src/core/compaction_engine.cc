@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/cpu_relax.h"
 #include "common/lock_rank.h"
 #include "common/logging.h"
 #include "common/sanitizer.h"
@@ -410,31 +409,25 @@ bool CompactionEngine::CopyObjects(size_t budget) NO_THREAD_SAFETY_ANALYSIS {
     //    writers cannot acquire (§3.2.3). The pool is detached (owner -1),
     //    so no free can tombstone the slot under us; only transient writer
     //    locks are possible, bounded by the deadline below.
-    uint64_t w = LoadHeaderWord(sptr);
     Deadline lock_deadline(kObjectLockDeadlineNs);
+    HeaderClaim claim{};
     for (;;) {
-      ObjectHeader h = ObjectHeader::Unpack(w);
-      CORM_CHECK(h.lock != LockState::kCompacting &&
-                 h.lock != LockState::kTombstone)
+      // Spin bound 0: one CpuRelax per claim, the deadline checked between.
+      claim = ClaimHeader(sptr, kAnyObjectId, LockState::kCompacting,
+                          /*spin_bound=*/0);
+      if (claim.claimed()) break;
+      CORM_CHECK(claim.header().lock == LockState::kWriteLocked)
           << "unexpected lock state in live slot";
-      if (h.lock == LockState::kWriteLocked) {
-        if (lock_deadline.Expired()) {
-          AbortPair(Status::Timeout(
-              "compaction copy: object writer lock never released"));
-          return false;
-        }
-        CpuRelax();  // writers hold the lock briefly
-        w = LoadHeaderWord(sptr);
-        continue;
+      if (lock_deadline.Expired()) {
+        AbortPair(Status::Timeout(
+            "compaction copy: object writer lock never released"));
+        return false;
       }
-      ObjectHeader locked = h;
-      locked.lock = LockState::kCompacting;
-      if (CasHeaderWord(sptr, w, locked.Pack())) break;
     }
 
     // 2. Copy into dst, preserving the offset when possible (§3.1.2:
     //    preserving offsets keeps pointers direct).
-    const ObjectHeader h = ObjectHeader::Unpack(LoadHeaderWord(sptr));
+    const ObjectHeader h = claim.header();
     uint32_t dslot = slot;
     if (!dst->AllocSlotAt(slot)) {
       auto fresh = dst->AllocSlot();
@@ -479,11 +472,8 @@ void CompactionEngine::AbortPair(Status why) {
   for (const CopiedObject& obj : copied_) {
     dst->EraseId(obj.obj_id);
     dst->FreeSlot(obj.dst_slot);
-    uint8_t* sptr = worker_->SlotPtr(src->base(), src, obj.src_slot);
-    ObjectHeader h = ObjectHeader::Unpack(LoadHeaderWord(sptr));
-    CORM_CHECK(h.lock == LockState::kCompacting);
-    h.lock = LockState::kFree;
-    StoreHeaderWord(sptr, h.Pack());
+    ReleaseClaim(worker_->SlotPtr(src->base(), src, obj.src_slot),
+                 LockState::kCompacting);
   }
   copied_.clear();
   src_idx_ = dst_idx_ = SIZE_MAX;

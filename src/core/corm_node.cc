@@ -50,10 +50,8 @@ CormNode::CormNode(CormConfig config)
   // Sync-lock table (DESIGN.md §12): one lock word per slot, mapped fresh
   // (all-zero: every slot free) and registered ODP like a repl ring so
   // remote CAS verbs reach it.
-  sync_table_slots_ =
-      static_cast<uint32_t>(std::max<size_t>(config_.sync_lock_slots, 1));
   const size_t table_bytes =
-      static_cast<size_t>(sync_table_slots_) * sizeof(uint64_t);
+      static_cast<size_t>(kSyncLockSlots) * sizeof(uint64_t);
   sync_table_pages_ = (table_bytes + sim::kVPageSize - 1) / sim::kVPageSize;
   // Virtual ranges are reserved at block granularity (see BlockBaseOf in
   // core/addr.h): round the table up so the blocks reserved after it stay

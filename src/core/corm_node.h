@@ -121,9 +121,6 @@ struct CormConfig {
   // optimistic versioned reads or an RDMA-CAS spinlock. Snapshot validation
   // stays on in every scheme.
   sync::SchemeKind sync_scheme = sync::SchemeKind::kOptimistic;
-  // Lock words in this node's registered sync-lock table (objects hash to
-  // slots; collisions are safe, just extra contention).
-  size_t sync_lock_slots = 1024;
   // How long a waiter watches an unchanged held lock word before stealing
   // it (crashed-holder recovery, fault site sync.holder_crash).
   uint64_t sync_lease_ns = 2'000'000;
@@ -432,14 +429,17 @@ class CormNode {
   NodeStatShard& client_stat_shard() { return stat_shard(-1); }
 
   // --- Sync-lock table (DESIGN.md §12). ----------------------------------
+  // Lock words in the table (objects hash to slots; collisions are safe,
+  // just extra contention).
+  static constexpr uint32_t kSyncLockSlots = 1024;
   // Remote-access coordinates of this node's sync-lock table:
-  // sync_lock_slots lock words hashed by object address. Registered (ODP)
+  // kSyncLockSlots lock words hashed by object address. Registered (ODP)
   // at construction, like a repl ring.
   sync::LockTableCoords sync_table() const {
     sync::LockTableCoords coords;
     coords.base = sync_table_base_;
     coords.r_key = sync_table_keys_.r_key;
-    coords.slots = sync_table_slots_;
+    coords.slots = kSyncLockSlots;
     return coords;
   }
 
@@ -564,7 +564,6 @@ class CormNode {
   sim::VAddr sync_table_base_ = 0;
   size_t sync_table_pages_ = 0;
   rdma::MrKeys sync_table_keys_;
-  uint32_t sync_table_slots_ = 0;
 
   // Keyed index table backing state (same lifecycle as the sync table).
   sim::VAddr index_table_base_ = 0;

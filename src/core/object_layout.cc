@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/sanitizer.h"
+#include "sim/latency_model.h"
 
 namespace corm::core {
 
@@ -105,6 +106,31 @@ void WritePayload(uint8_t* slot, uint32_t slot_size, uint8_t version,
   for (uint32_t i = 0; i < capacity; ++i) mix(slot[kHeaderSize + i]);
   std::memcpy(slot + ChecksumOffset(slot_size), &h, kChecksumSize);
   CORM_TSAN_RELEASE(slot);
+}
+
+void ReleaseClaim(uint8_t* slot, LockState held) {
+  ObjectHeader h = ObjectHeader::Unpack(LoadHeaderWord(slot));
+  CORM_CHECK(h.lock == held);
+  h.lock = LockState::kFree;
+  StoreHeaderWord(slot, h.Pack());
+}
+
+void CommitWrite(uint8_t* slot, uint32_t slot_size, uint64_t claimed,
+                 const void* data, uint32_t len, ConsistencyMode mode,
+                 uint64_t hold_ns) {
+  const ObjectHeader pre = ObjectHeader::Unpack(claimed);
+  ObjectHeader next = pre;
+  next.version = NextVersion(pre.version);
+  next.lock = LockState::kFree;
+  if constexpr (kAuditEnabled) {
+    // Version bytes may only ever advance by one per committed write;
+    // anything else would let a torn read validate against a reused
+    // version (paper §2.2.1).
+    CORM_CHECK(VersionMonotonic(pre.version, next.version));
+  }
+  WritePayload(slot, slot_size, next.version, data, len, mode);
+  sim::Pace(hold_ns);
+  StoreHeaderWord(slot, next.Pack());
 }
 
 void ReadPayload(const uint8_t* slot, uint32_t slot_size, void* out,

@@ -28,6 +28,7 @@
 #include <cstring>
 
 #include "common/byte_units.h"
+#include "common/cpu_relax.h"
 #include "common/sanitizer.h"
 #include "common/status.h"
 #include "sim/address_space.h"
@@ -180,6 +181,7 @@ inline void StoreHeaderWord(uint8_t* slot, uint64_t w) {
       .store(w, std::memory_order_release);
 }
 
+// The one CAS on a header word; ClaimHeader is its only caller.
 inline bool CasHeaderWord(uint8_t* slot, uint64_t& expected, uint64_t desired) {
   return std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(slot))
       .compare_exchange_strong(expected, desired, std::memory_order_acq_rel);
@@ -207,6 +209,89 @@ inline uint8_t NextVersion(uint8_t v) { return static_cast<uint8_t>(v + 1); }
 inline bool VersionMonotonic(uint8_t old_version, uint8_t new_version) {
   return new_version == NextVersion(old_version);
 }
+
+// --- The object seqlock (paper §3.2.3), server side. -----------------------
+//
+// Every server path that locks, tombstones or rewrites a header claims it
+// through ClaimHeader; every write that bumps the version publishes through
+// CommitWrite; a claim that ends up changing nothing is undone through
+// ReleaseClaim. DESIGN.md §6.3 lists the callers and their spin bounds.
+
+enum class ClaimOutcome : uint8_t {
+  kClaimed,  // the header now holds the claim
+  kBusy,     // kCompacting, or a writer held the lock past the spin bound
+  kGone,     // kTombstone, or the slot holds another object ID
+};
+
+struct HeaderClaim {
+  ClaimOutcome outcome;
+  // kClaimed: the header word the claim replaced (always kFree). Otherwise
+  // the last word observed.
+  uint64_t word;
+
+  bool claimed() const { return outcome == ClaimOutcome::kClaimed; }
+  ObjectHeader header() const { return ObjectHeader::Unpack(word); }
+};
+
+// ClaimHeader's expected ID for callers that own the slot outright (Free on
+// the owner, compaction on a detached block) and so never see it reused.
+inline constexpr uint32_t kAnyObjectId = 1u << 16;
+
+// Claims the header of `slot` for the object `expect_id`: `rewrite` maps
+// the kFree header to the one to install, and the claim is one CAS. A
+// writer lock is waited out with CpuRelax; the claim gives up as kBusy once
+// it still sees one after `spin_bound` retries. A rewrite that leaves the
+// header unchanged claims without a store.
+template <typename Rewrite>
+HeaderClaim ClaimHeader(uint8_t* slot, uint32_t expect_id, Rewrite rewrite,
+                        int spin_bound) {
+  uint64_t w = LoadHeaderWord(slot);
+  for (int attempt = 0;; ++attempt) {
+    const ObjectHeader h = ObjectHeader::Unpack(w);
+    if (h.lock == LockState::kCompacting) return {ClaimOutcome::kBusy, w};
+    if (h.lock == LockState::kTombstone ||
+        (expect_id != kAnyObjectId && h.obj_id != expect_id)) {
+      return {ClaimOutcome::kGone, w};
+    }
+    if (h.lock == LockState::kWriteLocked) {
+      if (attempt > spin_bound) return {ClaimOutcome::kBusy, w};
+      CpuRelax();
+      w = LoadHeaderWord(slot);
+      continue;
+    }
+    const uint64_t desired = rewrite(h).Pack();
+    if (desired == w) return {ClaimOutcome::kClaimed, w};
+    const uint64_t pre = w;
+    if (CasHeaderWord(slot, w, desired)) return {ClaimOutcome::kClaimed, pre};
+    // The failed CAS reloaded `w`; retry.
+  }
+}
+
+// Claims the lock state `state` (kWriteLocked, kCompacting or kTombstone).
+inline HeaderClaim ClaimHeader(uint8_t* slot, uint32_t expect_id,
+                               LockState state, int spin_bound) {
+  return ClaimHeader(
+      slot, expect_id,
+      [state](ObjectHeader h) {
+        h.lock = state;
+        return h;
+      },
+      spin_bound);
+}
+
+// Undoes a claim of `held` that changed nothing: the header goes back to
+// kFree with every other field as it is.
+void ReleaseClaim(uint8_t* slot, LockState held);
+
+// Commits a write under a kWriteLocked claim (`claimed` is the pre-claim
+// word ClaimHeader returned): bumps the version by one (audited under
+// CORM_AUDIT), stamps the payload and its consistency metadata with it,
+// paces `hold_ns` of modeled lock hold — the window a concurrent one-sided
+// read observes as locked or torn (Fig. 13) — then publishes the unlocked
+// header.
+void CommitWrite(uint8_t* slot, uint32_t slot_size, uint64_t claimed,
+                 const void* data, uint32_t len, ConsistencyMode mode,
+                 uint64_t hold_ns);
 
 // --- Payload scatter/gather around the consistency metadata. ---------------
 

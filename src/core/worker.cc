@@ -171,9 +171,9 @@ void Worker::HandleInbox(WorkerMsg& msg) {
       // while the query was in flight, the requester re-routes.
       if (msg.block->owner_thread() == id_) {
         msg.correction->owned = true;
-        auto slot = OwnerLookup(msg.block, msg.obj_id);
-        msg.correction->found = slot.ok();
-        msg.correction->slot = slot.ok() ? *slot : 0;
+        const auto slot = msg.block->FindId(msg.obj_id);
+        msg.correction->found = slot.has_value();
+        msg.correction->slot = slot.value_or(0);
       } else {
         msg.correction->found = false;
       }
@@ -242,6 +242,21 @@ namespace {
 void Charge(rdma::RpcMessage* rpc, uint64_t ns) {
   rpc->server_extra_ns += ns;
   sim::Pace(ns);
+}
+
+// ClaimHeader spin bounds (DESIGN.md §6.3): an RPC handler waits out a
+// writer lock for 4,096 retries; the log applier for 64, because a record
+// it defers simply stays at the ring head for the next drain pass.
+constexpr int kClaimSpins = 4096;
+constexpr int kApplyClaimSpins = 64;
+
+// An RPC handler's verdict on a claim that did not land: busy is
+// ObjectLocked, gone is the caller's `gone`.
+Status ClaimFailure(const HeaderClaim& claim, Status gone) {
+  if (claim.outcome == ClaimOutcome::kGone) return gone;
+  return Status::ObjectLocked(claim.header().lock == LockState::kCompacting
+                                  ? "object under compaction"
+                                  : "object write-locked");
 }
 }  // namespace
 
@@ -394,13 +409,6 @@ uint8_t* Worker::SlotPtr(sim::VAddr base, const alloc::Block* block,
       base + static_cast<uint64_t>(slot) * block->slot_size());
 }
 
-Result<uint32_t> Worker::OwnerLookup(const alloc::Block* block,
-                                     uint16_t obj_id) {
-  auto slot = block->FindId(obj_id);
-  if (!slot) return Status::NotFound("object ID not present in block");
-  return *slot;
-}
-
 Result<uint32_t> Worker::CorrectViaScan(const alloc::Block* block,
                                         sim::VAddr base, uint16_t obj_id) {
   ++stats_.corrections_scan;
@@ -421,7 +429,10 @@ Result<uint32_t> Worker::CorrectViaOwner(alloc::Block* block,
   ++stats_.corrections_messaging;
   for (int attempt = 0; attempt < 64; ++attempt) {
     const int owner = block->owner_thread();
-    if (owner == id_) return OwnerLookup(block, obj_id);
+    if (owner == id_) {
+      if (const auto slot = block->FindId(obj_id)) return *slot;
+      return Status::NotFound("object ID not present in block");
+    }
     if (owner < 0) {
       // Ownership in transit (block collected for compaction, or retired):
       // fall back to scanning through the client-visible bytes, which stay
@@ -625,64 +636,30 @@ void Worker::HandleWrite(rdma::RpcMessage* rpc) {
   }
   uint8_t* ptr = resolved->ptr;
 
-  // Acquire the object lock (bounded spin over transient writer locks).
-  uint64_t w = LoadHeaderWord(ptr);
-  for (int attempt = 0;; ++attempt) {
-    ObjectHeader h = ObjectHeader::Unpack(w);
-    if (h.lock == LockState::kCompacting) {
-      Complete(rpc, Status::ObjectLocked("object under compaction"));
-      return;
-    }
-    if (h.lock == LockState::kTombstone || h.obj_id != req.addr.obj_id) {
-      Complete(rpc, Status::ObjectMoved("object moved during write"));
-      return;
-    }
-    if (h.lock == LockState::kWriteLocked) {
-      if (attempt > 4096) {
-        Complete(rpc, Status::ObjectLocked("object write-locked"));
-        return;
-      }
-      CpuRelax();
-      w = LoadHeaderWord(ptr);
-      continue;
-    }
-    ObjectHeader locked = h;
-    locked.lock = LockState::kWriteLocked;
-    if (CasHeaderWord(ptr, w, locked.Pack())) {
-      // Locked: bump the version, write payload + per-cacheline versions,
-      // then publish the unlocked header. The lock is held for the modeled
-      // DMA duration — the window a concurrent DirectRead can observe as
-      // locked or torn (Fig. 13).
-      ObjectHeader next = locked;
-      next.version = NextVersion(h.version);
-      next.lock = LockState::kFree;
-      if constexpr (kAuditEnabled) {
-        // Version bytes may only ever advance by one per committed write;
-        // anything else would let a torn read validate against a reused
-        // version (paper §2.2.1).
-        CORM_CHECK(VersionMonotonic(h.version, next.version));
-      }
-      if (auto* fi = sim::GlobalFaultInjector(); fi != nullptr) {
-        uint64_t hold_ns = 0;
-        if (fi->ShouldFire(sim::fault_sites::kTornWrite, &hold_ns)) {
-          // Injected torn window: publish the new cacheline versions with
-          // only a prefix of the payload behind them and linger before the
-          // full write below. A concurrent lock-free snapshot lands on a
-          // genuinely torn object and must reject it (locked header or
-          // version mismatch); the final state is consistent either way.
-          WritePayload(ptr, block->slot_size(), next.version, payload.data(),
-                       req.size / 2, mode);
-          Charge(rpc, hold_ns != 0 ? hold_ns : 2000);
-        }
-      }
-      WritePayload(ptr, block->slot_size(), next.version, payload.data(),
-                   req.size, mode);
-      Charge(rpc, node_->latency_model().WriteLockHoldNs(req.size));
-      StoreHeaderWord(ptr, next.Pack());
-      break;
-    }
-    // CAS failure reloaded `w`; retry.
+  const HeaderClaim claim = ClaimHeader(ptr, req.addr.obj_id,
+                                        LockState::kWriteLocked, kClaimSpins);
+  if (!claim.claimed()) {
+    Complete(rpc, ClaimFailure(claim,
+                               Status::ObjectMoved("object moved during write")));
+    return;
   }
+  if (auto* fi = sim::GlobalFaultInjector(); fi != nullptr) {
+    uint64_t hold_ns = 0;
+    if (fi->ShouldFire(sim::fault_sites::kTornWrite, &hold_ns)) {
+      // Injected torn window: publish the new cacheline versions with only
+      // a prefix of the payload behind them and linger before the full
+      // write below. A concurrent lock-free snapshot lands on a genuinely
+      // torn object and must reject it (locked header or version
+      // mismatch); the final state is consistent either way.
+      WritePayload(ptr, block->slot_size(), NextVersion(claim.header().version),
+                   payload.data(), req.size / 2, mode);
+      Charge(rpc, hold_ns != 0 ? hold_ns : 2000);
+    }
+  }
+  const uint64_t hold_ns = node_->latency_model().WriteLockHoldNs(req.size);
+  rpc->server_extra_ns += hold_ns;
+  CommitWrite(ptr, block->slot_size(), claim.word, payload.data(), req.size,
+              mode, hold_ns);
 
   WriteResponse resp;
   resp.addr = CorrectedAddr(req.addr, *resolved, block->slot_size());
@@ -741,85 +718,67 @@ bool Worker::ApplyReplRecord(const rdma::ReplRecordHeader& hdr,
   }
   uint8_t* ptr = resolved->ptr;
 
-  // Acquire the object seqlock — HandleWrite's discipline, but with a short
-  // contention bound: a locked or kCompacting object defers the record (it
-  // stays at the ring head for the next drain pass) instead of spinning,
-  // because this worker must get back to its RPC ring. This deferral is the
-  // whole replication/compaction hand-off: while compaction holds the slot,
-  // the log simply waits.
-  uint64_t w = LoadHeaderWord(ptr);
-  for (int attempt = 0;; ++attempt) {
-    ObjectHeader h = ObjectHeader::Unpack(w);
-    if (h.lock == LockState::kCompacting) return false;
-    if (h.lock == LockState::kTombstone || h.obj_id != addr.obj_id) {
-      ++stats_.repl_apply_orphans;
-      return true;
-    }
-    if (h.lock == LockState::kWriteLocked) {
-      if (attempt > 64) return false;
-      CpuRelax();
-      w = LoadHeaderWord(ptr);
-      continue;
-    }
-    ObjectHeader locked = h;
-    locked.lock = LockState::kWriteLocked;
-    if (!CasHeaderWord(ptr, w, locked.Pack())) continue;  // reloaded w
-
-    // Locked. Read the stored replica-image header and decide.
-    rdma::ReplObjectHeader stored;
-    ReadPayload(ptr, block->slot_size(),
-                reinterpret_cast<uint8_t*>(&stored), sizeof(stored), mode);
-    const uint8_t* img = nullptr;  // full image to install, when applying
-    size_t img_len = 0;
-    if (hdr.kind == rdma::kReplRecordSeal) {
-      if (hdr.epoch > stored.epoch &&
-          sizeof(stored) + stored.len <= cap) {
-        // Seal: rewrite the stored image verbatim with only the epoch
-        // bumped. The object crc excludes the epoch by design, so the
-        // image stays self-consistent without recomputing payload sums.
-        const size_t full = sizeof(stored) + stored.len;
-        repl_seal_scratch_.resize(full);  // NOLINT(corm-hotpath-alloc) high-water only
-        ReadPayload(ptr, block->slot_size(), repl_seal_scratch_.data(),
-                    full, mode);
-        stored.epoch = hdr.epoch;
-        std::memcpy(repl_seal_scratch_.data(), &stored, sizeof(stored));
-        img = repl_seal_scratch_.data();
-        img_len = full;
-      } else {
-        ++stats_.repl_apply_dups;  // already sealed to this epoch or newer
-      }
-    } else {
-      rdma::ReplObjectHeader rec;
-      std::memcpy(&rec, payload.data(), sizeof(rec));
-      if (hdr.epoch < stored.epoch) {
-        // Epoch fence: a record shipped before a failover sealed its epoch
-        // must never overwrite post-seal state (fault site repl.seal_race
-        // proves this path).
-        ++stats_.repl_fenced_records;
-      } else if (rec.version <= stored.version) {
-        ++stats_.repl_apply_dups;  // retransmit or reordered older write
-      } else {
-        img = payload.data();
-        img_len = payload.size();
-      }
-    }
-
-    if (img == nullptr) {
-      StoreHeaderWord(ptr, w);  // release the lock, nothing changed
-      return true;
-    }
-    ObjectHeader next = locked;
-    next.version = NextVersion(h.version);
-    next.lock = LockState::kFree;
-    if constexpr (kAuditEnabled) {
-      CORM_CHECK(VersionMonotonic(h.version, next.version));
-    }
-    WritePayload(ptr, block->slot_size(), next.version, img, img_len, mode);
-    sim::Pace(node_->latency_model().WriteLockHoldNs(img_len));
-    StoreHeaderWord(ptr, next.Pack());
-    ++stats_.repl_applied_records;
+  // Claim the object seqlock as HandleWrite does, but with a short spin
+  // bound: a busy object defers the record (it stays at the ring head for
+  // the next drain pass) instead of spinning, because this worker must get
+  // back to its RPC ring. This deferral is the whole replication/compaction
+  // hand-off: while compaction holds the slot, the log simply waits.
+  const HeaderClaim claim = ClaimHeader(ptr, addr.obj_id,
+                                        LockState::kWriteLocked,
+                                        kApplyClaimSpins);
+  if (claim.outcome == ClaimOutcome::kBusy) return false;
+  if (claim.outcome == ClaimOutcome::kGone) {
+    ++stats_.repl_apply_orphans;
     return true;
   }
+
+  // Locked. Read the stored replica-image header and decide.
+  rdma::ReplObjectHeader stored;
+  ReadPayload(ptr, block->slot_size(), reinterpret_cast<uint8_t*>(&stored),
+              sizeof(stored), mode);
+  const uint8_t* img = nullptr;  // full image to install, when applying
+  size_t img_len = 0;
+  if (hdr.kind == rdma::kReplRecordSeal) {
+    if (hdr.epoch > stored.epoch && sizeof(stored) + stored.len <= cap) {
+      // Seal: rewrite the stored image verbatim with only the epoch bumped.
+      // The object crc excludes the epoch by design, so the image stays
+      // self-consistent without recomputing payload sums.
+      const size_t full = sizeof(stored) + stored.len;
+      repl_seal_scratch_.resize(full);  // NOLINT(corm-hotpath-alloc) high-water only
+      ReadPayload(ptr, block->slot_size(), repl_seal_scratch_.data(), full,
+                  mode);
+      stored.epoch = hdr.epoch;
+      std::memcpy(repl_seal_scratch_.data(), &stored, sizeof(stored));
+      img = repl_seal_scratch_.data();
+      img_len = full;
+    } else {
+      ++stats_.repl_apply_dups;  // already sealed to this epoch or newer
+    }
+  } else {
+    rdma::ReplObjectHeader rec;
+    std::memcpy(&rec, payload.data(), sizeof(rec));
+    if (hdr.epoch < stored.epoch) {
+      // Epoch fence: a record shipped before a failover sealed its epoch
+      // must never overwrite post-seal state (fault site repl.seal_race
+      // proves this path).
+      ++stats_.repl_fenced_records;
+    } else if (rec.version <= stored.version) {
+      ++stats_.repl_apply_dups;  // retransmit or reordered older write
+    } else {
+      img = payload.data();
+      img_len = payload.size();
+    }
+  }
+
+  if (img == nullptr) {
+    ReleaseClaim(ptr, LockState::kWriteLocked);  // nothing changed
+    return true;
+  }
+  CommitWrite(ptr, block->slot_size(), claim.word, img,
+              static_cast<uint32_t>(img_len), mode,
+              node_->latency_model().WriteLockHoldNs(img_len));
+  ++stats_.repl_applied_records;
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -839,39 +798,20 @@ void Worker::MaybeReleaseEmptyBlock(alloc::Block* block) {
   node_->RetireBlock(node_->block_allocator_->DestroyBlock(std::move(owned)));
 }
 
-void Worker::ReleaseGhost(const GhostToRelease& ghost) {
-  node_->ReleaseGhostAction(ghost);
-}
-
 Status Worker::FreeResolved(const Resolved& r) {
   alloc::Block* block = r.block;
-  uint8_t* ptr = r.ptr;
-  uint64_t w = LoadHeaderWord(ptr);
-  for (int attempt = 0;; ++attempt) {
-    ObjectHeader h = ObjectHeader::Unpack(w);
-    if (h.lock == LockState::kCompacting) {
-      return Status::ObjectLocked("object under compaction");
-    }
-    if (h.lock == LockState::kTombstone) {
-      return Status::NotFound("double free");
-    }
-    if (h.lock == LockState::kWriteLocked) {
-      if (attempt > 4096) return Status::ObjectLocked("object write-locked");
-      CpuRelax();
-      w = LoadHeaderWord(ptr);
-      continue;
-    }
-    ObjectHeader dead = h;
-    dead.lock = LockState::kTombstone;
-    if (CasHeaderWord(ptr, w, dead.Pack())) {
-      if (ClassCompactable(block->class_idx())) block->EraseId(h.obj_id);
-      const bool empty = allocator_.Free(block, r.slot);
-      auto ghost = node_->vaddr_tracker_.OnFree(HomeVaddrOf(h.home_page));
-      if (ghost) ReleaseGhost(*ghost);
-      if (empty) MaybeReleaseEmptyBlock(block);
-      return Status::OK();
-    }
+  const HeaderClaim claim =
+      ClaimHeader(r.ptr, kAnyObjectId, LockState::kTombstone, kClaimSpins);
+  if (!claim.claimed()) {
+    return ClaimFailure(claim, Status::NotFound("double free"));
   }
+  const ObjectHeader h = claim.header();
+  if (ClassCompactable(block->class_idx())) block->EraseId(h.obj_id);
+  const bool empty = allocator_.Free(block, r.slot);
+  auto ghost = node_->vaddr_tracker_.OnFree(HomeVaddrOf(h.home_page));
+  if (ghost) node_->ReleaseGhostAction(*ghost);
+  if (empty) MaybeReleaseEmptyBlock(block);
+  return Status::OK();
 }
 
 void Worker::HandleFree(rdma::RpcMessage* rpc, bool forwarded) {
@@ -935,38 +875,26 @@ void Worker::HandleReleasePtr(rdma::RpcMessage* rpc) {
     return;
   }
   alloc::Block* block = resolved->block;
-  uint8_t* ptr = resolved->ptr;
 
-  uint64_t w = LoadHeaderWord(ptr);
-  for (int attempt = 0;; ++attempt) {
-    ObjectHeader h = ObjectHeader::Unpack(w);
-    if (h.lock == LockState::kCompacting) {
-      Complete(rpc, Status::ObjectLocked("object under compaction"));
-      return;
-    }
-    if (h.lock == LockState::kTombstone || h.obj_id != req.addr.obj_id) {
-      Complete(rpc, Status::ObjectMoved("object moved during release"));
-      return;
-    }
-    if (h.lock == LockState::kWriteLocked) {
-      if (attempt > 4096) {
-        Complete(rpc, Status::ObjectLocked("object write-locked"));
-        return;
-      }
-      CpuRelax();
-      w = LoadHeaderWord(ptr);
-      continue;
-    }
-    const sim::VAddr old_home = HomeVaddrOf(h.home_page);
-    const sim::VAddr new_home = block->base();
-    if (old_home == new_home) break;  // nothing to release
-    ObjectHeader next = h;
-    next.home_page = HomePageOf(new_home);
-    if (CasHeaderWord(ptr, w, next.Pack())) {
-      auto ghost = node_->vaddr_tracker_.OnRehome(old_home, new_home);
-      if (ghost) ReleaseGhost(*ghost);
-      break;
-    }
+  // Rewrite the home page to the current block; an object already homed
+  // there claims without a store (nothing to release).
+  const sim::VAddr new_home = block->base();
+  const HeaderClaim claim = ClaimHeader(
+      resolved->ptr, req.addr.obj_id,
+      [new_home](ObjectHeader h) {
+        h.home_page = HomePageOf(new_home);
+        return h;
+      },
+      kClaimSpins);
+  if (!claim.claimed()) {
+    Complete(rpc, ClaimFailure(
+                      claim, Status::ObjectMoved("object moved during release")));
+    return;
+  }
+  const sim::VAddr old_home = HomeVaddrOf(claim.header().home_page);
+  if (old_home != new_home) {
+    auto ghost = node_->vaddr_tracker_.OnRehome(old_home, new_home);
+    if (ghost) node_->ReleaseGhostAction(*ghost);
   }
 
   // The canonical pointer now lives in the current block.

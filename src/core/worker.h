@@ -207,9 +207,6 @@ class Worker {
   Result<uint32_t> CorrectViaScan(const alloc::Block* block, sim::VAddr base,
                                   uint16_t obj_id);
 
-  // Looks up an object ID in a block this worker owns.
-  Result<uint32_t> OwnerLookup(const alloc::Block* block, uint16_t obj_id);
-
   // Allocates one object; returns its address. `init` (at most
   // `payload_size` bytes) is stamped into the payload before the header is
   // published. Used by RPC + bulk paths.
@@ -238,9 +235,6 @@ class Worker {
 
   // Completes `rpc` with `st` and wakes the client.
   static void Complete(rdma::RpcMessage* rpc, Status st);
-
-  // Releases a ghost range (tracker said its last homed object died).
-  void ReleaseGhost(const GhostToRelease& ghost);
 
   // Destroys an empty block owned by this worker.
   void MaybeReleaseEmptyBlock(alloc::Block* block);

@@ -58,24 +58,6 @@ int Cluster::RehomeDeadNode(int dead) {
 }
 
 int Cluster::PickNode() {
-  switch (config_.placement) {
-    case Placement::kRoundRobin:
-      break;
-    case Placement::kLeastLoaded: {
-      int best = -1;
-      uint64_t best_bytes = UINT64_MAX;
-      for (int i = 0; i < num_nodes(); ++i) {
-        if (!detector_.Serving(i)) continue;
-        const uint64_t bytes = nodes_[i]->ActiveMemoryBytes();
-        if (bytes < best_bytes) {
-          best_bytes = bytes;
-          best = i;
-        }
-      }
-      if (best >= 0) return best;
-      break;  // everything suspect/dead: fall through to round robin
-    }
-  }
   // Round robin over nodes the detector trusts.
   for (int attempt = 0; attempt < num_nodes(); ++attempt) {
     const int idx = static_cast<int>(
@@ -137,7 +119,10 @@ void Cluster::StopBackgroundCompaction() {
 
 void Cluster::CrashNode(int idx) {
   nodes_[idx]->PauseService();
-  KillNode(idx);
+  dead_[idx]->store(true, std::memory_order_release);
+  // Every probe of a crashed node fails: report misses until its lease
+  // expires rather than waiting out dead_after heartbeat rounds.
+  while (detector_.MaybeServing(idx)) detector_.ReportFailure(idx);
 }
 
 void Cluster::RestartNode(int idx) {

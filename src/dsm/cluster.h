@@ -52,12 +52,6 @@ inline int KeyRangeOf(uint64_t key) {
   return static_cast<int>(index::MixKey(key) % kKeyRanges);
 }
 
-// Object placement policy for new allocations.
-enum class Placement {
-  kRoundRobin,    // spread allocations uniformly
-  kLeastLoaded,   // place on the node with the least active memory
-};
-
 // Detector verdict for one node.
 enum class NodeHealth {
   kAlive,    // lease current
@@ -74,8 +68,7 @@ struct FailureDetectorConfig {
 // Lease-style failure detector over heartbeat outcomes. Lock-free: health
 // is derived from a per-node miss counter, so probes and readers never
 // serialize. ReportSuccess models a lease renewal and revives the node
-// instantly; KillNode/ReviveNode-style shims jump states via MarkDead /
-// Reset without waiting for probes.
+// instantly.
 class FailureDetector {
  public:
   FailureDetector(int num_nodes, FailureDetectorConfig config)
@@ -100,12 +93,6 @@ class FailureDetector {
       misses_[node]->store(config_.dead_after, std::memory_order_release);
     }
   }
-
-  // Test-shim escalation: jump straight to dead / back to alive.
-  void MarkDead(int node) {
-    misses_[node]->store(config_.dead_after, std::memory_order_release);
-  }
-  void Reset(int node) { misses_[node]->store(0, std::memory_order_release); }
 
   NodeHealth health(int node) const {
     const int m = misses_[node]->load(std::memory_order_acquire);
@@ -141,7 +128,6 @@ class FailureDetector {
 struct ClusterConfig {
   int num_nodes = 4;
   core::CormConfig node_config;  // applied to every node
-  Placement placement = Placement::kRoundRobin;
   FailureDetectorConfig failure_detector;
 };
 
@@ -156,8 +142,8 @@ class Cluster {
   core::CormNode* node(int idx) { return nodes_[idx].get(); }
   const ClusterConfig& config() const { return config_; }
 
-  // Picks a node for a new allocation per the placement policy; nodes the
-  // failure detector distrusts are skipped.
+  // Picks a node for a new allocation, round robin over the nodes the
+  // failure detector trusts.
   int PickNode();
 
   // --- Keyed routing (DESIGN.md §13). ------------------------------------
@@ -202,29 +188,17 @@ class Cluster {
   uint64_t TotalActiveMemoryBytes() const;
   uint64_t TotalVirtualMemoryBytes() const;
 
-  // --- Failure injection (test-only shims; chaos uses Crash/Restart). ----
-  // Marks a node unreachable: subsequent DSM operations to it fail with
-  // kNetworkError. The node process itself keeps running (the paper's
-  // fault model assumes full-process failure; we only need the
-  // reachability half to exercise client failover). The detector is
-  // informed synchronously so placement avoids the node immediately —
-  // these two shims are deliberate test back-doors, not the production
-  // path (which is Heartbeat-driven).
-  void KillNode(int idx) {
-    dead_[idx]->store(true, std::memory_order_release);
-    detector_.MarkDead(idx);
-  }
-  void ReviveNode(int idx) {
-    dead_[idx]->store(false, std::memory_order_release);
-    detector_.Reset(idx);
-  }
+  // --- Failure injection. ------------------------------------------------
+  // True between CrashNode and RestartNode: DSM operations to the node
+  // fail with kNetworkError.
   bool IsDead(int idx) const {
     return dead_[idx]->load(std::memory_order_acquire);
   }
 
-  // Full crash (chaos harness): unreachable AND not serving — requests
-  // already queued on the node stall, so clients with in-flight RPCs see
-  // kTimeout rather than an error completion.
+  // Full crash: unreachable AND not serving — requests already queued on
+  // the node stall, so clients with in-flight RPCs see kTimeout rather
+  // than an error completion. The detector sees the crash at once (its
+  // lease expires), so placement avoids the node immediately.
   void CrashNode(int idx);
   // Restart after a crash: drops every request that was queued while the
   // node was down (completing each with kNetworkError, as a connection

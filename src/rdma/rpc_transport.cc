@@ -90,8 +90,9 @@ RpcMessage* RpcMessage::New() { return RpcMessagePool::Acquire(); }
 void RpcMessage::Unref() NO_THREAD_SAFETY_ANALYSIS {
   if (refs_.load(std::memory_order_relaxed) == 0) return;  // stack-owned
   if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // The last reference recycles into *this* thread's freelist: the client
-    // on the normal path, the worker when the client abandoned on timeout.
+    // The last reference recycles into *this* thread's freelist: the
+    // worker's when the client abandoned on timeout, else whichever side
+    // dropped its reference second (see RpcMessagePool).
     RpcMessagePool::Recycle(this);
   }
 }

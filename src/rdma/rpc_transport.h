@@ -16,10 +16,10 @@
 // releases it whenever it completes).
 //
 // Messages come from a per-thread freelist (RpcMessagePool) so the
-// steady-state data plane performs no heap allocation: the client that
-// drops the last reference recycles the message into its own thread's
-// freelist and the next call reuses it, request/response buffers keeping
-// their capacity. See DESIGN.md §7 for the pooling lifetimes.
+// steady-state data plane performs no heap allocation: whichever thread
+// drops the last reference recycles the message into its own freelist, and
+// the next Acquire on that thread reuses it, request/response buffers
+// keeping their capacity. See DESIGN.md §7 for the pooling lifetimes.
 
 #ifndef CORM_RDMA_RPC_TRANSPORT_H_
 #define CORM_RDMA_RPC_TRANSPORT_H_
@@ -70,15 +70,17 @@ struct RpcMessage {
   std::atomic<int> refs_{0};  // 0 = stack-owned, Unref is a no-op
 };
 
-// Per-thread freelist of RpcMessage objects. On the normal path the client
-// thread drops the last reference (the server Completes 2 -> 1, the client
-// reads the response and Unrefs 1 -> 0), so messages recycle into the
-// *client's* freelist with no cross-thread synchronization and the next
-// call on that thread reuses the same message and buffer capacity. On the
-// abandoned-timeout path the server's Complete drops the last reference and
-// the message recycles into the worker's freelist (bounded; workers never
-// acquire, so those entries persist until further abandons overflow the cap
-// and delete).
+// Per-thread freelist of RpcMessage objects. The thread that drops the last
+// reference recycles the message into its own freelist. The server's
+// Complete stores `done` before its Unref, so on the normal path the client
+// can see `done`, read the response and Unref before the server's Unref
+// lands: either side may be last. When the client is last, the message
+// recycles into the *client's* freelist and the next call on that thread
+// reuses the same message and buffer capacity. When the server is last (on
+// every abandoned timeout, and on a normal round it loses), the message
+// recycles into the worker's freelist (bounded; workers never acquire, so
+// those entries persist until further recycles overflow the cap and
+// delete).
 class RpcMessagePool {
  public:
   // A message with refs == 2 (client + server), fields reset, buffers

@@ -68,23 +68,6 @@ TEST(DsmTest, CrossNodeReadWrite) {
   }
 }
 
-TEST(DsmTest, LeastLoadedPlacementPrefersEmptyNode) {
-  ClusterConfig config = SmallCluster(2);
-  config.placement = Placement::kLeastLoaded;
-  Cluster cluster(config);
-  DsmContext ctx(&cluster);
-  // Preload node 0 heavily.
-  auto preload = cluster.node(0)->BulkAlloc(5000, 56);
-  ASSERT_TRUE(preload.ok());
-  int on_node1 = 0;
-  for (int i = 0; i < 20; ++i) {
-    auto addr = ctx.Alloc(56);
-    ASSERT_TRUE(addr.ok());
-    on_node1 += NodeOf(*addr) == 1;
-  }
-  EXPECT_GE(on_node1, 19);  // virtually everything lands on the empty node
-}
-
 TEST(DsmTest, PointersSurviveNodeLocalCompaction) {
   Cluster cluster(SmallCluster(2));
   DsmContext ctx(&cluster);
@@ -125,7 +108,7 @@ TEST(DsmTest, DeadNodeOperationsFailWithNetworkError) {
   DsmContext ctx(&cluster);
   auto addr = ctx.AllocOn(1, 56);
   ASSERT_TRUE(addr.ok());
-  cluster.KillNode(1);
+  cluster.CrashNode(1);
   std::vector<uint8_t> buf(56);
   EXPECT_EQ(ctx.Read(&*addr, buf.data(), 56).code(),
             StatusCode::kNetworkError);
@@ -138,7 +121,8 @@ TEST(DsmTest, DeadNodeOperationsFailWithNetworkError) {
     ASSERT_TRUE(fresh.ok());
     EXPECT_EQ(NodeOf(*fresh), 0);
   }
-  cluster.ReviveNode(1);
+  cluster.RestartNode(1);
+  cluster.Heartbeat();
   EXPECT_TRUE(ctx.Read(&*addr, buf.data(), 56).ok());
 }
 
@@ -187,7 +171,7 @@ TEST(ReplicationTest, ReadsFailOverWhenPrimaryDies) {
   PatternFill(5, in.data(), 100);
   ASSERT_TRUE(rctx.Write(&*addr, in.data(), 100).ok());
 
-  cluster.KillNode(NodeOf(addr->primary()));
+  cluster.CrashNode(NodeOf(addr->primary()));
   ASSERT_TRUE(rctx.Read(&*addr, out.data(), 100).ok());
   EXPECT_EQ(in, out);
   EXPECT_EQ(rctx.failovers(), 1u);
@@ -200,7 +184,7 @@ TEST(ReplicationTest, WritesDegradeWhenBackupDies) {
   ASSERT_TRUE(addr.ok());
   std::vector<uint8_t> in(100), out(100);
   const int backup = NodeOf(addr->replicas[1]);
-  cluster.KillNode(backup);
+  cluster.CrashNode(backup);
   PatternFill(6, in.data(), 100);
   ASSERT_TRUE(rctx.Write(&*addr, in.data(), 100).ok());
   EXPECT_EQ(rctx.degraded_writes(), 1u);
@@ -211,13 +195,14 @@ TEST(ReplicationTest, WritesDegradeWhenBackupDies) {
   // write onto it (the primary holds the only durable copy until then —
   // failing over before the repair would correctly refuse, since promoting
   // the version-0 backup would lose the acked write).
-  cluster.ReviveNode(backup);
+  cluster.RestartNode(backup);
+  cluster.Heartbeat();
   rctx.RunAntiEntropySweep(8);
   EXPECT_GE(rctx.anti_entropy_repairs(), 1u);
   // A dead *primary* now triggers an epoch-fenced failover: the repaired
   // backup is promoted and the write proceeds under the new epoch
   // (DESIGN.md §11).
-  cluster.KillNode(NodeOf(addr->primary()));
+  cluster.CrashNode(NodeOf(addr->primary()));
   PatternFill(7, in.data(), 100);
   ASSERT_TRUE(rctx.Write(&*addr, in.data(), 100).ok());
   EXPECT_GE(rctx.failovers(), 1u);
@@ -254,7 +239,7 @@ TEST(ReplicationTest, ReplicasSurviveCompactionOnEveryNode) {
   EXPECT_FALSE(reports->empty());
   // Every replica of every object readable with intact data, even with one
   // node down.
-  cluster.KillNode(1);
+  cluster.CrashNode(1);
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(rctx.Read(&objects[i], buf.data(), 56).ok()) << i;
     EXPECT_TRUE(PatternCheck(i, buf.data(), 56));
@@ -264,7 +249,7 @@ TEST(ReplicationTest, ReplicasSurviveCompactionOnEveryNode) {
 TEST(ReplicationTest, AllocFailsWithoutEnoughLiveNodes) {
   Cluster cluster(SmallCluster(2));
   ReplicatedContext rctx(&cluster, 2);
-  cluster.KillNode(0);
+  cluster.CrashNode(0);
   EXPECT_EQ(rctx.Alloc(56).status().code(), StatusCode::kNetworkError);
 }
 
@@ -311,13 +296,17 @@ TEST(DsmChurnTest, RandomizedOpsPreserveEveryObject) {
       ASSERT_TRUE(cluster.CompactAllIfFragmented().ok());
     } else if (dead_node < 0) {
       dead_node = static_cast<int>(rng.Uniform(3));
-      cluster.KillNode(dead_node);
+      cluster.CrashNode(dead_node);
     } else {
-      cluster.ReviveNode(dead_node);
+      cluster.RestartNode(dead_node);
+      cluster.Heartbeat();
       dead_node = -1;
     }
   }
-  if (dead_node >= 0) cluster.ReviveNode(dead_node);
+  if (dead_node >= 0) {
+    cluster.RestartNode(dead_node);
+    cluster.Heartbeat();
+  }
 
   // Final sweep: everything alive, intact, routable.
   ASSERT_TRUE(cluster.CompactAllIfFragmented().ok());

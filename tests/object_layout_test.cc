@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "core/addr.h"
+#include "core/client.h"
+#include "core/corm_node.h"
 #include "core/object_layout.h"
+#include "sim/frame_epoch.h"
 
 namespace corm::core {
 namespace {
@@ -140,6 +145,190 @@ TEST(ConsistencyTest, SingleCachelineOnlyChecksHeader) {
   const uint64_t packed = h.Pack();
   std::memcpy(slot.data(), &packed, 8);
   EXPECT_TRUE(SnapshotConsistent(slot.data(), 32));
+}
+
+// --- The header-claim primitive (ClaimHeader / CommitWrite). -------------
+
+constexpr uint16_t kClaimId = 0x1234;
+
+ObjectHeader ClaimProbe(LockState lock) {
+  ObjectHeader h;
+  h.version = 7;
+  h.lock = lock;
+  h.class_idx = 3;
+  h.obj_id = kClaimId;
+  h.home_page = 42;
+  return h;
+}
+
+struct ClaimCase {
+  LockState state;
+  bool id_matches;
+  ClaimOutcome expected;
+};
+
+class ClaimHeaderTable : public ::testing::TestWithParam<ClaimCase> {};
+
+// Every lock state crossed with a matching and a mismatching object ID. A
+// writer lock that nobody releases runs the spin bound out: kBusy.
+TEST_P(ClaimHeaderTable, OutcomePerStateAndId) {
+  const ClaimCase c = GetParam();
+  alignas(8) uint8_t slot[64] = {};
+  const uint64_t before = ClaimProbe(c.state).Pack();
+  StoreHeaderWord(slot, before);
+  const uint32_t expect_id = c.id_matches ? kClaimId : kClaimId + 1;
+
+  const HeaderClaim claim =
+      ClaimHeader(slot, expect_id, LockState::kWriteLocked, /*spin_bound=*/4);
+  EXPECT_EQ(claim.outcome, c.expected);
+  EXPECT_EQ(claim.word, before);  // pre-claim word, or the last word seen
+  if (c.expected == ClaimOutcome::kClaimed) {
+    ObjectHeader locked = ClaimProbe(LockState::kWriteLocked);
+    EXPECT_EQ(LoadHeaderWord(slot), locked.Pack());
+  } else {
+    EXPECT_EQ(LoadHeaderWord(slot), before);  // a failed claim writes nothing
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStates, ClaimHeaderTable,
+    ::testing::Values(
+        ClaimCase{LockState::kFree, true, ClaimOutcome::kClaimed},
+        ClaimCase{LockState::kFree, false, ClaimOutcome::kGone},
+        ClaimCase{LockState::kWriteLocked, true, ClaimOutcome::kBusy},
+        ClaimCase{LockState::kWriteLocked, false, ClaimOutcome::kGone},
+        ClaimCase{LockState::kCompacting, true, ClaimOutcome::kBusy},
+        ClaimCase{LockState::kCompacting, false, ClaimOutcome::kBusy},
+        ClaimCase{LockState::kTombstone, true, ClaimOutcome::kGone},
+        ClaimCase{LockState::kTombstone, false, ClaimOutcome::kGone}));
+
+TEST(ClaimHeaderTest, EachClaimStateLands) {
+  for (LockState state : {LockState::kWriteLocked, LockState::kCompacting,
+                          LockState::kTombstone}) {
+    alignas(8) uint8_t slot[64] = {};
+    StoreHeaderWord(slot, ClaimProbe(LockState::kFree).Pack());
+    const HeaderClaim claim = ClaimHeader(slot, kClaimId, state, 0);
+    ASSERT_TRUE(claim.claimed());
+    EXPECT_EQ(claim.header().lock, LockState::kFree);
+    EXPECT_EQ(LoadHeaderWord(slot), ClaimProbe(state).Pack());
+  }
+}
+
+TEST(ClaimHeaderTest, AnyObjectIdSkipsTheIdCheck) {
+  alignas(8) uint8_t slot[64] = {};
+  StoreHeaderWord(slot, ClaimProbe(LockState::kFree).Pack());
+  EXPECT_TRUE(
+      ClaimHeader(slot, kAnyObjectId, LockState::kTombstone, 0).claimed());
+  // A tombstone is gone whatever the expected ID.
+  EXPECT_EQ(ClaimHeader(slot, kAnyObjectId, LockState::kTombstone, 0).outcome,
+            ClaimOutcome::kGone);
+}
+
+TEST(ClaimHeaderTest, RewriteThatChangesNothingClaimsWithoutAStore) {
+  alignas(8) uint8_t slot[64] = {};
+  const uint64_t before = ClaimProbe(LockState::kFree).Pack();
+  StoreHeaderWord(slot, before);
+  auto same = [](ObjectHeader h) { return h; };
+  const HeaderClaim claim = ClaimHeader(slot, kClaimId, same, 0);
+  EXPECT_TRUE(claim.claimed());
+  EXPECT_EQ(LoadHeaderWord(slot), before);
+
+  auto rehome = [](ObjectHeader h) {
+    h.home_page = 99;
+    return h;
+  };
+  ASSERT_TRUE(ClaimHeader(slot, kClaimId, rehome, 0).claimed());
+  EXPECT_EQ(ObjectHeader::Unpack(LoadHeaderWord(slot)).home_page, 99u);
+  EXPECT_EQ(ObjectHeader::Unpack(LoadHeaderWord(slot)).lock, LockState::kFree);
+}
+
+// A writer that unlocks within the spin bound is waited out, not reported
+// busy.
+TEST(ClaimHeaderTest, WriterReleasedWithinTheBoundIsWaitedOut) {
+  alignas(8) uint8_t slot[64] = {};
+  StoreHeaderWord(slot, ClaimProbe(LockState::kWriteLocked).Pack());
+  std::thread writer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ReleaseClaim(slot, LockState::kWriteLocked);
+  });
+  const HeaderClaim claim =
+      ClaimHeader(slot, kClaimId, LockState::kTombstone, /*spin_bound=*/1 << 30);
+  writer.join();
+  EXPECT_TRUE(claim.claimed());
+  EXPECT_EQ(ObjectHeader::Unpack(LoadHeaderWord(slot)).lock,
+            LockState::kTombstone);
+}
+
+TEST(ClaimHeaderTest, CommitWriteBumpsVersionAndUnlocks) {
+  alignas(64) uint8_t slot[256] = {};
+  StoreHeaderWord(slot, ClaimProbe(LockState::kFree).Pack());
+  const HeaderClaim claim =
+      ClaimHeader(slot, kClaimId, LockState::kWriteLocked, 0);
+  ASSERT_TRUE(claim.claimed());
+  std::vector<uint8_t> data(200);
+  PatternFill(3, data.data(), data.size());
+  CommitWrite(slot, sizeof(slot), claim.word, data.data(),
+              static_cast<uint32_t>(data.size()),
+              ConsistencyMode::kCachelineVersions, /*hold_ns=*/0);
+  const ObjectHeader h = ObjectHeader::Unpack(LoadHeaderWord(slot));
+  EXPECT_EQ(h.lock, LockState::kFree);
+  EXPECT_EQ(h.version, NextVersion(7));
+  EXPECT_EQ(h.obj_id, kClaimId);
+  EXPECT_TRUE(SnapshotConsistent(slot, sizeof(slot)));
+  std::vector<uint8_t> out(200);
+  ReadPayload(slot, sizeof(slot), out.data(), 200);
+  EXPECT_EQ(out, data);
+}
+
+TEST(ClaimHeaderTest, ReleaseClaimRestoresTheFreeHeader) {
+  alignas(8) uint8_t slot[64] = {};
+  const uint64_t before = ClaimProbe(LockState::kFree).Pack();
+  StoreHeaderWord(slot, before);
+  ASSERT_TRUE(ClaimHeader(slot, kClaimId, LockState::kCompacting, 0).claimed());
+  ReleaseClaim(slot, LockState::kCompacting);
+  EXPECT_EQ(LoadHeaderWord(slot), before);
+}
+
+// ScanRead validates the slot it finds exactly as DirectRead validates its
+// snapshot: a locked or torn object fails both with the same StatusCode.
+TEST(ClaimHeaderTest, ScanReadAndDirectReadAgreeOnLockedAndTornSlots) {
+  CormConfig config;
+  config.num_workers = 1;
+  CormNode node(config);
+  auto ctx = Context::Create(&node);
+  auto addr = ctx->Alloc(200);
+  ASSERT_TRUE(addr.ok());
+  std::vector<uint8_t> data(200), out(200);
+  PatternFill(11, data.data(), data.size());
+  ASSERT_TRUE(ctx->Write(&*addr, data.data(), data.size()).ok());
+
+  sim::FrameEpoch::Guard epoch;
+  uint8_t* slot = node.rnic()->address_space()->TranslatePtr(addr->vaddr);
+  ASSERT_NE(slot, nullptr);
+  const uint64_t clean = LoadHeaderWord(slot);
+  const uint8_t line1 = LoadVersionByte(slot + kCacheLineSize);
+
+  auto expect_same = [&](StatusCode code, const char* what) {
+    GlobalAddr scan = *addr;
+    EXPECT_EQ(ctx->DirectRead(*addr, out.data(), out.size()).code(), code)
+        << what;
+    EXPECT_EQ(ctx->ScanRead(&scan, out.data(), out.size()).code(), code)
+        << what;
+  };
+  for (LockState locked : {LockState::kWriteLocked, LockState::kCompacting}) {
+    ObjectHeader h = ObjectHeader::Unpack(clean);
+    h.lock = locked;
+    StoreHeaderWord(slot, h.Pack());
+    expect_same(StatusCode::kObjectLocked, "locked slot");
+    StoreHeaderWord(slot, clean);
+  }
+  // Torn: cacheline 1 carries the next version, the header the old one.
+  StoreVersionByte(slot + kCacheLineSize, NextVersion(line1));
+  expect_same(StatusCode::kTornRead, "torn slot");
+  StoreVersionByte(slot + kCacheLineSize, line1);
+
+  expect_same(StatusCode::kOk, "clean slot");
+  EXPECT_EQ(out, data);
 }
 
 TEST(GlobalAddrTest, SizeAndFlags) {

@@ -211,7 +211,7 @@ TEST(ReplLogTest, DeadBackupDegradesAndQueuesRepair) {
   PatternFill(1, in.data(), 40);
   ASSERT_TRUE(rctx.Write(&*addr, in.data(), 40).ok());
 
-  cluster.KillNode(NodeOf(addr->replicas[1]));
+  cluster.CrashNode(NodeOf(addr->replicas[1]));
   PatternFill(2, in.data(), 40);
   ASSERT_TRUE(rctx.Write(&*addr, in.data(), 40).ok());
   EXPECT_EQ(rctx.degraded_writes(), 1u);
@@ -241,7 +241,7 @@ TEST(ReplLogTest, SealFencesStaleEpochRecords) {
   PatternFill(1, in.data(), 64);
   ASSERT_TRUE(rctx.Write(&*addr, in.data(), 64).ok());
 
-  cluster.KillNode(NodeOf(addr->primary()));
+  cluster.CrashNode(NodeOf(addr->primary()));
   PatternFill(2, in.data(), 64);
   ASSERT_TRUE(rctx.Write(&*addr, in.data(), 64).ok());
   EXPECT_EQ(inj.FiredCount(sim::fault_sites::kReplSealRace), 1u);
@@ -264,14 +264,15 @@ TEST(ReplLogTest, FailoverRefusesWhenCommittedStateIsUnreachable) {
   std::vector<uint8_t> in(40);
   // Degrade: the backup dies, then an acked write lands only on the
   // primary.
-  cluster.KillNode(NodeOf(addr->replicas[1]));
+  cluster.CrashNode(NodeOf(addr->replicas[1]));
   PatternFill(1, in.data(), 40);
   ASSERT_TRUE(rctx.Write(&*addr, in.data(), 40).ok());
   // Now the primary (sole durable copy) dies and the backup revives empty:
   // promoting it would lose the acked write, so failover must refuse with
   // kTimeout (retryable once a replica with the committed state returns).
-  cluster.ReviveNode(NodeOf(addr->replicas[1]));
-  cluster.KillNode(NodeOf(addr->primary()));
+  cluster.RestartNode(NodeOf(addr->replicas[1]));
+  cluster.Heartbeat();
+  cluster.CrashNode(NodeOf(addr->primary()));
   EXPECT_EQ(rctx.Failover(&*addr).code(), StatusCode::kTimeout);
 }
 
@@ -287,12 +288,13 @@ TEST(ReplLogTest, AntiEntropyRepairsDegradedReplica) {
   ASSERT_TRUE(rctx.Write(&*addr, in.data(), 72).ok());
 
   const int backup = NodeOf(addr->replicas[1]);
-  cluster.KillNode(backup);
+  cluster.CrashNode(backup);
   PatternFill(2, in.data(), 72);
   ASSERT_TRUE(rctx.Write(&*addr, in.data(), 72).ok());
   ASSERT_EQ(rctx.pending_repairs(), 1u);
 
-  cluster.ReviveNode(backup);
+  cluster.RestartNode(backup);
+  cluster.Heartbeat();
   EXPECT_EQ(rctx.RunAntiEntropySweep(8), 1u);
   EXPECT_EQ(rctx.pending_repairs(), 0u);
   EXPECT_GE(rctx.anti_entropy_repairs(), 1u);
@@ -301,7 +303,7 @@ TEST(ReplLogTest, AntiEntropyRepairsDegradedReplica) {
 
   // Proof the repair copied real bytes: kill the primary so the *backup*
   // serves the read, and the repaired copy must carry the degraded write.
-  cluster.KillNode(NodeOf(addr->primary()));
+  cluster.CrashNode(NodeOf(addr->primary()));
   ASSERT_TRUE(rctx.Read(&*addr, out.data(), 72).ok());
   EXPECT_TRUE(PatternCheck(2, out.data(), 72));
 }
@@ -313,11 +315,12 @@ TEST(ReplLogTest, SchedulerHostedSweepDrainsRepairQueue) {
   ASSERT_TRUE(addr.ok());
   std::vector<uint8_t> in(40);
   const int backup = NodeOf(addr->replicas[1]);
-  cluster.KillNode(backup);
+  cluster.CrashNode(backup);
   PatternFill(1, in.data(), 40);
   ASSERT_TRUE(rctx.Write(&*addr, in.data(), 40).ok());
   ASSERT_EQ(rctx.pending_repairs(), 1u);
-  cluster.ReviveNode(backup);
+  cluster.RestartNode(backup);
+  cluster.Heartbeat();
 
   // The sweep runs on the PR-5 duty-cycled background scheduler; poll until
   // it picks up the queued repair.

@@ -321,7 +321,7 @@ TEST(DsmBatchTest, BatchRoutesPerNodeRunsAndIsolatesDeadNodes) {
 
   // A dead node fails its runs with kNetworkError; the live node's entries
   // still complete.
-  cluster.KillNode(1);
+  cluster.CrashNode(1);
   Status st = ctx.DirectReadBatch(addrs.data(), kObjects, bufs.data(), 64,
                                   statuses.data());
   EXPECT_FALSE(st.ok());

@@ -125,12 +125,12 @@ TEST(TsanStressTest, AllocFreeChurnWithConcurrentCompaction) {
   EXPECT_EQ(LockRankTracker::Depth(), 0);
 }
 
-// The message pool's two recycle paths racing (DESIGN.md §7.2): on the
-// normal path the client drops the last reference and the message recycles
-// into the *client's* freelist; on the abandoned path the client Unrefs
-// without waiting (a timeout) while the server is still filling the
-// response, so the server's completing Unref is the last one and recycles
-// into the *worker's* freelist. TSan must see the acq_rel refcount as the
+// The message pool's two recycle paths racing (DESIGN.md §7.2): whichever
+// thread drops the last reference recycles the message into its own
+// freelist. The server publishes `done` before its Unref, so even on the
+// normal path either side may be last; on the abandoned path the client
+// Unrefs without waiting (a timeout) while the server is still filling the
+// response. TSan must see the acq_rel refcount as the
 // only thing ordering the loser's field resets against the winner's final
 // accesses — and must see no unsynchronized reuse, because an abandoned
 // message can only re-enter circulation from the thread that shelved it.
@@ -184,8 +184,13 @@ TEST(TsanStressTest, MessagePoolRecycleVsAbandonedUnref) {
   server.join();
 
   EXPECT_GT(abandoned, 0u);
-  // Normal-path rounds recycled into this (client) thread's freelist.
-  EXPECT_GT(rdma::RpcMessagePool::LocalFreeForTesting(), 0u);
+  // The rounds above may all have recycled on the server thread. A message
+  // whose both references drop on this thread lands in this thread's
+  // freelist.
+  rdma::RpcMessage* last = rdma::RpcMessagePool::Acquire();
+  last->Unref();
+  last->Unref();
+  EXPECT_GE(rdma::RpcMessagePool::LocalFreeForTesting(), 1u);
 }
 
 // Two nodes' compaction planners evaluate the §3.4 probability model at the
