@@ -13,7 +13,7 @@
 //     GUARDED_BY (or PT_GUARDED_BY for pointees) that lock.
 //   * Private helpers that expect the caller to hold a lock say REQUIRES.
 //   * Lock-free code the analyzer cannot prove (seqlock readers, Vyukov
-//     cell hand-off, refcounted teardown) carries NO_THREAD_SAFETY_ANALYSIS
+//     cell hand-off, RPC message teardown) carries NO_THREAD_SAFETY_ANALYSIS
 //     with a one-line proof sketch — enforced by tools/lint.sh rule 6.
 
 #ifndef CORM_COMMON_THREAD_ANNOTATIONS_H_

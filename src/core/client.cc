@@ -64,7 +64,7 @@ Status Context::RpcCallPooled(rdma::RpcMessage** msg, int ring_hint) {
   if (st.IsTimeout()) stats_.timeouts++;
   if (!st.ok() && *msg != nullptr) {
     // Uniform failure contract for callers: the message is gone.
-    (*msg)->Unref();
+    rdma::RpcMessagePool::Release(*msg);
     *msg = nullptr;
   }
   return st;
@@ -128,7 +128,7 @@ Result<GlobalAddr> Context::Alloc(size_t size, Slice init) {
   CORM_RETURN_NOT_OK(RpcCallPooled(&msg, ring_));
   AllocResponse resp;
   DecodeResponse(msg->response, &resp);
-  msg->Unref();
+  rdma::RpcMessagePool::Release(msg);
   return resp.addr;
 }
 
@@ -139,7 +139,7 @@ Status Context::Free(GlobalAddr* addr) {
   // Free is ownership-bound: the owner hint routes it straight to the
   // owning worker's ring, skipping the kForwardedRpc hop.
   Status st = RpcCallPooled(&msg, RingHintFor(*addr));
-  if (msg != nullptr) msg->Unref();
+  if (msg != nullptr) rdma::RpcMessagePool::Release(msg);
   if (st.ok()) *addr = GlobalAddr{};  // the pointer is dead
   return st;
 }
@@ -154,11 +154,11 @@ Status Context::Read(GlobalAddr* addr, void* buf, size_t size) {
   ReadResponse resp;
   Slice payload = DecodeResponse(msg->response, &resp);
   if (payload.size() < size) {
-    msg->Unref();
+    rdma::RpcMessagePool::Release(msg);
     return Status::Internal("short read payload");
   }
   std::memcpy(buf, payload.data(), size);
-  msg->Unref();
+  rdma::RpcMessagePool::Release(msg);
   if (resp.addr.vaddr != addr->vaddr) stats_.pointer_corrections++;
   *addr = resp.addr;  // server-corrected pointer (§3.2.1)
   return Status::OK();
@@ -185,7 +185,7 @@ Status Context::WriteRpc(GlobalAddr* addr, const void* buf, size_t size) {
   CORM_RETURN_NOT_OK(RpcCallPooled(&msg, ring_));
   WriteResponse resp;
   DecodeResponse(msg->response, &resp);
-  msg->Unref();
+  rdma::RpcMessagePool::Release(msg);
   if (resp.addr.vaddr != addr->vaddr) stats_.pointer_corrections++;
   *addr = resp.addr;
   return Status::OK();
@@ -198,7 +198,7 @@ Status Context::ReleasePtr(GlobalAddr* addr) {
   CORM_RETURN_NOT_OK(RpcCallPooled(&msg, ring_));
   ReleasePtrResponse resp;
   DecodeResponse(msg->response, &resp);
-  msg->Unref();
+  rdma::RpcMessagePool::Release(msg);
   *addr = resp.addr;  // canonical pointer in the object's current block
   return Status::OK();
 }
@@ -518,7 +518,7 @@ Status Context::IndexLookupRpc(uint64_t key, GlobalAddr* addr) {
   CORM_RETURN_NOT_OK(RpcCallPooled(&msg, ring_));
   IndexLookupResponse resp;
   DecodeResponse(msg->response, &resp);
-  msg->Unref();
+  rdma::RpcMessagePool::Release(msg);
   *addr = resp.addr;
   return Status::OK();
 }
@@ -613,7 +613,7 @@ Result<GlobalAddr> Context::Put(uint64_t key, const void* buf, size_t size) {
   CORM_RETURN_NOT_OK(RpcCallPooled(&msg, ring_));
   IndexPutResponse resp;
   DecodeResponse(msg->response, &resp);
-  msg->Unref();
+  rdma::RpcMessagePool::Release(msg);
   GlobalAddr addr = resp.addr;
   if (resp.existed != 0) {
     CORM_RETURN_NOT_OK(Write(&addr, buf, size));
@@ -633,7 +633,7 @@ Status Context::Del(uint64_t key) {
   rdma::RpcMessage* msg = rdma::RpcMessagePool::Acquire();
   EncodeRequest(RpcOp::kIndexRemove, IndexRemoveRequest{key}, &msg->request);
   Status st = RpcCallPooled(&msg, ring_);
-  if (msg != nullptr) msg->Unref();
+  if (msg != nullptr) rdma::RpcMessagePool::Release(msg);
   return st;
 }
 

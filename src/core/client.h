@@ -183,8 +183,8 @@ class Context : public sync::SyncMedium {
                             const GlobalAddr& addr, void* buf, size_t size);
 
   // Executes a pooled RPC: `*msg` carries the encoded request; on OK the
-  // caller decodes msg->response in place and Unrefs. On any failure the
-  // message has been released and `*msg` is null.
+  // caller decodes msg->response in place and Releases it. On any failure
+  // the message has been released and `*msg` is null.
   Status RpcCallPooled(rdma::RpcMessage** msg, int ring_hint);
 
   // Ring for an ownership-bound op on `addr`: the stamped owner hint when

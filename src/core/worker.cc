@@ -228,14 +228,6 @@ void Worker::HandleInbox(WorkerMsg& msg) {
   }
 }
 
-void Worker::Complete(rdma::RpcMessage* rpc, Status st) {
-  rpc->status = std::move(st);
-  rpc->done.store(true, std::memory_order_release);
-  // The server's reference: a timed-out client may already have abandoned
-  // the message, in which case this Unref frees it.
-  rpc->Unref();
-}
-
 // Charges modeled server-side processing time to the RPC: paces the worker
 // and reports the duration back to the client for latency accounting.
 namespace {
@@ -287,7 +279,7 @@ void Worker::HandleRpc(rdma::RpcMessage* rpc, bool forwarded) {
       HandleIndexRemove(rpc);
       break;
     default:
-      Complete(rpc, Status::InvalidArgument("unknown RPC opcode"));
+      rpc->Complete(Status::InvalidArgument("unknown RPC opcode"));
   }
 }
 
@@ -382,7 +374,7 @@ void Worker::HandleAlloc(rdma::RpcMessage* rpc) {
   const Slice init = DecodeRequest(rpc->request, &req);
   ++stats_.rpc_allocs;
   if (req.size > UINT32_MAX || init.size() > req.size) {
-    Complete(rpc, Status::InvalidArgument("bad Alloc size"));
+    rpc->Complete(Status::InvalidArgument("bad Alloc size"));
     return;
   }
   rpc->server_extra_ns = 0;
@@ -392,11 +384,11 @@ void Worker::HandleAlloc(rdma::RpcMessage* rpc) {
   }
   auto addr = AllocObject(static_cast<uint32_t>(req.size), init);
   if (!addr.ok()) {
-    Complete(rpc, addr.status());
+    rpc->Complete(addr.status());
     return;
   }
   EncodeResponse(AllocResponse{*addr}, &rpc->response);
-  Complete(rpc, Status::OK());
+  rpc->Complete(Status::OK());
 }
 
 // ---------------------------------------------------------------------------
@@ -569,13 +561,13 @@ void Worker::HandleRead(rdma::RpcMessage* rpc) NO_THREAD_SAFETY_ANALYSIS {
 
   auto resolved = ResolveObject(req.addr);
   if (!resolved.ok()) {
-    Complete(rpc, resolved.status());
+    rpc->Complete(resolved.status());
     return;
   }
   alloc::Block* block = resolved->block;
   const ConsistencyMode mode = node_->config().consistency;
   if (req.size > PayloadCapacity(block->slot_size(), mode)) {
-    Complete(rpc, Status::InvalidArgument("read larger than object payload"));
+    rpc->Complete(Status::InvalidArgument("read larger than object payload"));
     return;
   }
   uint8_t* ptr = resolved->ptr;
@@ -593,11 +585,11 @@ void Worker::HandleRead(rdma::RpcMessage* rpc) NO_THREAD_SAFETY_ANALYSIS {
     const ObjectHeader h = ObjectHeader::Unpack(w1);
     if (h.lock == LockState::kWriteLocked ||
         h.lock == LockState::kCompacting) {
-      Complete(rpc, Status::ObjectLocked("object locked; retry"));
+      rpc->Complete(Status::ObjectLocked("object locked; retry"));
       return;
     }
     if (h.lock == LockState::kTombstone || h.obj_id != req.addr.obj_id) {
-      Complete(rpc, Status::ObjectMoved("object moved during read"));
+      rpc->Complete(Status::ObjectMoved("object moved during read"));
       return;
     }
     ReadPayload(ptr, block->slot_size(), payload.data(), req.size, mode);
@@ -606,11 +598,11 @@ void Worker::HandleRead(rdma::RpcMessage* rpc) NO_THREAD_SAFETY_ANALYSIS {
       // release in WritePayload/StoreHeaderWord (see sanitizer.h).
       CORM_TSAN_ACQUIRE(ptr);
       EncodeResponse(resp, &rpc->response, Slice(payload.data(), req.size));
-      Complete(rpc, Status::OK());
+      rpc->Complete(Status::OK());
       return;
     }
   }
-  Complete(rpc, Status::ObjectLocked("object under heavy write contention"));
+  rpc->Complete(Status::ObjectLocked("object under heavy write contention"));
 }
 
 // ---------------------------------------------------------------------------
@@ -624,14 +616,14 @@ void Worker::HandleWrite(rdma::RpcMessage* rpc) {
 
   auto resolved = ResolveObject(req.addr);
   if (!resolved.ok()) {
-    Complete(rpc, resolved.status());
+    rpc->Complete(resolved.status());
     return;
   }
   alloc::Block* block = resolved->block;
   const ConsistencyMode mode = node_->config().consistency;
   if (req.size > PayloadCapacity(block->slot_size(), mode) ||
       payload.size() < req.size) {
-    Complete(rpc, Status::InvalidArgument("write larger than object payload"));
+    rpc->Complete(Status::InvalidArgument("write larger than object payload"));
     return;
   }
   uint8_t* ptr = resolved->ptr;
@@ -639,7 +631,7 @@ void Worker::HandleWrite(rdma::RpcMessage* rpc) {
   const HeaderClaim claim = ClaimHeader(ptr, req.addr.obj_id,
                                         LockState::kWriteLocked, kClaimSpins);
   if (!claim.claimed()) {
-    Complete(rpc, ClaimFailure(claim,
+    rpc->Complete(ClaimFailure(claim,
                                Status::ObjectMoved("object moved during write")));
     return;
   }
@@ -664,7 +656,7 @@ void Worker::HandleWrite(rdma::RpcMessage* rpc) {
   WriteResponse resp;
   resp.addr = CorrectedAddr(req.addr, *resolved, block->slot_size());
   EncodeResponse(resp, &rpc->response);
-  Complete(rpc, Status::OK());
+  rpc->Complete(Status::OK());
 }
 
 // ---------------------------------------------------------------------------
@@ -826,14 +818,14 @@ void Worker::HandleFree(rdma::RpcMessage* rpc, bool forwarded) {
   const sim::VAddr base = BlockBaseOf(req.addr.vaddr, node_->block_bytes());
   const CormNode::DirectoryEntry entry = LookupBlockCached(base);
   if (entry.block == nullptr) {
-    Complete(rpc, Status::StalePointer("virtual block released"));
+    rpc->Complete(Status::StalePointer("virtual block released"));
     return;
   }
   const int owner = entry.block->owner_thread();
   if (owner != id_) {
     if (owner < 0) {
       // Block in transit to the compaction leader; the client retries.
-      Complete(rpc, Status::ObjectLocked("block ownership in transit"));
+      rpc->Complete(Status::ObjectLocked("block ownership in transit"));
       return;
     }
     ++stats_.forwarded_ops;
@@ -847,7 +839,7 @@ void Worker::HandleFree(rdma::RpcMessage* rpc, bool forwarded) {
 
   auto resolved = ResolveObject(req.addr);
   if (!resolved.ok()) {
-    Complete(rpc, resolved.status());
+    rpc->Complete(resolved.status());
     return;
   }
   Status st = FreeResolved(*resolved);
@@ -856,7 +848,7 @@ void Worker::HandleFree(rdma::RpcMessage* rpc, bool forwarded) {
     resp.addr = GlobalAddr{};  // freed: the pointer is dead
     EncodeResponse(resp, &rpc->response);
   }
-  Complete(rpc, std::move(st));
+  rpc->Complete(std::move(st));
 }
 
 // ---------------------------------------------------------------------------
@@ -871,7 +863,7 @@ void Worker::HandleReleasePtr(rdma::RpcMessage* rpc) {
 
   auto resolved = ResolveObject(req.addr);
   if (!resolved.ok()) {
-    Complete(rpc, resolved.status());
+    rpc->Complete(resolved.status());
     return;
   }
   alloc::Block* block = resolved->block;
@@ -887,7 +879,7 @@ void Worker::HandleReleasePtr(rdma::RpcMessage* rpc) {
       },
       kClaimSpins);
   if (!claim.claimed()) {
-    Complete(rpc, ClaimFailure(
+    rpc->Complete(ClaimFailure(
                       claim, Status::ObjectMoved("object moved during release")));
     return;
   }
@@ -907,7 +899,7 @@ void Worker::HandleReleasePtr(rdma::RpcMessage* rpc) {
   EncodeResponse(resp, &rpc->response);
   // Paper §4.1: the release itself adds ~0.3 us on top of the RPC.
   Charge(rpc, 300);
-  Complete(rpc, Status::OK());
+  rpc->Complete(Status::OK());
 }
 
 // ---------------------------------------------------------------------------
@@ -948,23 +940,23 @@ void Worker::HandleIndexLookup(rdma::RpcMessage* rpc) {
 
   index::IndexEntry entry;
   if (!node_->index_view()->Lookup(req.key, &entry)) {
-    Complete(rpc, Status::NotFound("key not in index"));
+    rpc->Complete(Status::NotFound("key not in index"));
     return;
   }
   auto canonical = ResolveIndexEntry(req.key, entry);
   if (!canonical.ok()) {
-    Complete(rpc, canonical.status());
+    rpc->Complete(canonical.status());
     return;
   }
   EncodeResponse(IndexLookupResponse{*canonical}, &rpc->response);
-  Complete(rpc, Status::OK());
+  rpc->Complete(Status::OK());
 }
 
 void Worker::HandleIndexPut(rdma::RpcMessage* rpc) {
   IndexPutRequest req;
   const Slice value = DecodeRequest(rpc->request, &req);
   if (value.size() != req.size) {
-    Complete(rpc, Status::InvalidArgument("Put value size mismatch"));
+    rpc->Complete(Status::InvalidArgument("Put value size mismatch"));
     return;
   }
   // A Put without a cached hint resolves the key here: the same fallback a
@@ -980,7 +972,7 @@ void Worker::HandleIndexPut(rdma::RpcMessage* rpc) {
     if (live.ok()) {
       resp.addr = *live;
       EncodeResponse(resp, &rpc->response);
-      Complete(rpc, Status::OK());
+      rpc->Complete(Status::OK());
       return;
     }
   }
@@ -992,7 +984,7 @@ void Worker::HandleIndexPut(rdma::RpcMessage* rpc) {
                   node_->latency_model().WriteLockHoldNs(req.size));
   auto fresh = AllocObject(req.size, value);
   if (!fresh.ok()) {
-    Complete(rpc, fresh.status());
+    rpc->Complete(fresh.status());
     return;
   }
   GlobalAddr existing;
@@ -1008,13 +1000,13 @@ void Worker::HandleIndexPut(rdma::RpcMessage* rpc) {
     CORM_CHECK(mine.ok());
     CORM_CHECK(FreeResolved(*mine).ok());
     if (st.code() != StatusCode::kAlreadyExists) {
-      Complete(rpc, std::move(st));
+      rpc->Complete(std::move(st));
       return;
     }
     resp.addr = existing;  // the client writes through the winner's object
   }
   EncodeResponse(resp, &rpc->response);
-  Complete(rpc, Status::OK());
+  rpc->Complete(Status::OK());
 }
 
 void Worker::HandleIndexRemove(rdma::RpcMessage* rpc) {
@@ -1025,7 +1017,7 @@ void Worker::HandleIndexRemove(rdma::RpcMessage* rpc) {
   // a pointer into freed memory.
   index::IndexEntry entry;
   if (!node_->index_view()->Remove(req.key, &entry)) {
-    Complete(rpc, Status::NotFound("key not in index"));
+    rpc->Complete(Status::NotFound("key not in index"));
     return;
   }
   // The same message becomes the Free of the unlinked object: HandleFree

@@ -233,9 +233,6 @@ class Worker {
   // addresses (compaction disabled for it, §4.4.1).
   bool ClassCompactable(uint32_t class_idx) const;
 
-  // Completes `rpc` with `st` and wakes the client.
-  static void Complete(rdma::RpcMessage* rpc, Status st);
-
   // Destroys an empty block owned by this worker.
   void MaybeReleaseEmptyBlock(alloc::Block* block);
 

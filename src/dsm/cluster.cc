@@ -130,9 +130,7 @@ void Cluster::RestartNode(int idx) {
   // dropped, completing with kNetworkError so abandoned (timed-out) client
   // messages are released and never replayed against the restarted node.
   while (rdma::RpcMessage* stale = nodes_[idx]->rpc_queue()->Poll()) {
-    stale->status = Status::NetworkError("node restarted; request dropped");
-    stale->done.store(true, std::memory_order_release);
-    stale->Unref();
+    stale->Complete(Status::NetworkError("node restarted; request dropped"));
   }
   nodes_[idx]->ResumeService();
   if (needs_index_seal_[idx]->exchange(false, std::memory_order_acq_rel)) {

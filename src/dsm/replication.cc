@@ -15,12 +15,17 @@ namespace corm::dsm {
 
 namespace {
 
-// Modeled gap between quorum ack polls: long enough that a poll usually
-// observes progress (one apply is ~a ring drain away), short enough that
-// the ack latency is dominated by the replica, not the poller.
+// Modeled gap between ack polls: long enough that a poll usually observes
+// progress (one apply is ~a ring drain away), short enough that the ack
+// latency is dominated by the replica, not the poller.
 constexpr uint64_t kQuorumPollGapNs = 400;
-// Quorum rounds between retransmissions of the unacked window.
+// Ack-poll rounds between retransmissions of the unacked window.
 constexpr int kQuorumRetransmitEvery = 8;
+// Repairs attempted per anti-entropy sweep tick.
+constexpr size_t kAntiEntropyBudget = 8;
+// Bounded repair backlog; excess enqueues are dropped (the next degraded
+// op re-enqueues).
+constexpr size_t kMaxPendingRepairs = 1024;
 // Sweep attempts before a repair task is dropped (the next degraded op on
 // the object re-enqueues it, so dropping loses nothing permanent).
 constexpr int kMaxRepairAttempts = 5;
@@ -48,11 +53,10 @@ void AddrBytes(const core::GlobalAddr& addr, uint8_t out[16]) {
 ReplicatedContext::ReplicatedContext(Cluster* cluster, int replication_factor,
                                      const core::Context::Options& options,
                                      const ReplicationOptions& repl_options)
-    : dsm_(cluster, options),
+    : stack_(cluster, options),
       k_(replication_factor),
       client_options_(options),
-      options_(repl_options),
-      session_for_node_(cluster->num_nodes(), -1) {
+      options_(repl_options) {
   CORM_CHECK_GT(k_, 0);
   CORM_CHECK_LE(k_, cluster->num_nodes());
 }
@@ -67,31 +71,21 @@ uint64_t ReplicatedContext::QuorumDeadlineNs() const {
 
 core::NodeStatShard& ReplicatedContext::PrimaryShard(
     const ReplicatedAddr& addr) {
-  return dsm_.cluster()->node(NodeOf(addr.primary()))->client_stat_shard();
+  return stack_.dsm.cluster()
+      ->node(NodeOf(addr.primary()))
+      ->client_stat_shard();
 }
 
-int ReplicatedContext::SessionFor(int node) {
-  if (session_for_node_[node] >= 0) return session_for_node_[node];
-  auto coords = dsm_.cluster()->node(node)->CreateReplIngress(
-      options_.ring_slots, options_.ring_slot_bytes);
+int ReplicatedContext::SessionFor(Stack& s, int node) {
+  if (s.session_for_node[node] >= 0) return s.session_for_node[node];
+  core::CormNode* replica = s.dsm.cluster()->node(node);
+  auto coords = replica->CreateReplIngress(options_.ring_slots,
+                                           options_.ring_slot_bytes);
   if (!coords.ok()) return -1;
-  session_for_node_[node] =
-      shipper_.AddSession(dsm_.cluster()->node(node)->rnic(), coords->base,
-                          coords->r_key, coords->slots, coords->slot_bytes,
-                          static_cast<uint32_t>(coords->id));
-  return session_for_node_[node];
-}
-
-int ReplicatedContext::RepairSessionFor(int node) {
-  if (repair_session_for_node_[node] >= 0)
-    return repair_session_for_node_[node];
-  auto coords = dsm_.cluster()->node(node)->CreateReplIngress(
-      options_.ring_slots, options_.ring_slot_bytes);
-  if (!coords.ok()) return -1;
-  repair_session_for_node_[node] = repair_shipper_->AddSession(
-      dsm_.cluster()->node(node)->rnic(), coords->base, coords->r_key,
-      coords->slots, coords->slot_bytes, static_cast<uint32_t>(coords->id));
-  return repair_session_for_node_[node];
+  s.session_for_node[node] = s.shipper.AddSession(
+      replica->rnic(), coords->base, coords->r_key, coords->slots,
+      coords->slot_bytes, static_cast<uint32_t>(coords->id));
+  return s.session_for_node[node];
 }
 
 void ReplicatedContext::BuildImage(Buffer* out, uint32_t epoch,
@@ -107,17 +101,21 @@ void ReplicatedContext::BuildImage(Buffer* out, uint32_t epoch,
   if (size != 0) std::memcpy(out->data() + sizeof(h), buf, size);
 }
 
-Status ReplicatedContext::ShipImage(rdma::ReplicaLogShipper* shipper,
-                                    int session, DsmContext* dsm,
-                                    core::GlobalAddr* replica, uint32_t epoch,
-                                    uint64_t version, const Buffer& image,
-                                    uint64_t* seq) {
-  if (session >= 0 && image.size() <= shipper->capacity(session)) {
+Status ReplicatedContext::ShipImage(Stack& s, ReplicatedAddr* addr, size_t r,
+                                    uint32_t epoch, uint64_t version,
+                                    const Buffer& image, AckWait* wait) {
+  core::GlobalAddr* replica = &addr->replicas[r];
+  wait->r = r;
+  wait->session = SessionFor(s, NodeOf(*replica));
+  if (wait->session >= 0 && image.size() <= s.shipper.capacity(wait->session)) {
     uint8_t ab[16];
     AddrBytes(*replica, ab);
+    const uint64_t ns0 = s.shipper.modeled_ns();
     CORM_ASSIGN_OR_RETURN(
-        *seq, shipper->Ship(session, rdma::kReplRecordData, epoch, version, ab,
-                            Slice(image.data(), image.size())));
+        wait->seq,
+        s.shipper.Ship(wait->session, rdma::kReplRecordData, epoch, version,
+                       ab, Slice(image.data(), image.size())));
+    wait->ship_ns = s.shipper.modeled_ns() - ns0;
     return Status::OK();
   }
   // RPC fallback: the image exceeds the ring slot (or the session could not
@@ -125,8 +123,83 @@ Status ReplicatedContext::ShipImage(rdma::ReplicaLogShipper* shipper,
   // the caller treats sequence 0 as already acked. The whole image —
   // ReplObjectHeader included — is the stored payload, exactly as the log
   // applier would have written it.
-  *seq = 0;
-  return dsm->Write(replica, image.data(), image.size());
+  wait->seq = 0;
+  return s.dsm.Write(replica, image.data(), image.size());
+}
+
+uint64_t ReplicatedContext::AwaitAcks(Stack& s, const ReplicatedAddr& addr,
+                                      std::vector<AckWait>& waits,
+                                      const Deadline& deadline) {
+  Cluster& cluster = *s.dsm.cluster();
+  core::NodeStatShard& shard = PrimaryShard(addr);
+  size_t open = waits.size();
+  int round = 0;
+  uint64_t ack_ns = 0;
+  std::vector<int> poll_sessions;
+  poll_sessions.reserve(waits.size());
+  while (open > 0 && !deadline.Expired()) {
+    poll_sessions.clear();
+    for (AckWait& w : waits) {
+      if (w.state != AckWait::State::kOpen) continue;
+      // A replica that dies mid-wait drops out; its copy is repaired by
+      // anti-entropy.
+      if (!ReplicaLive(cluster, NodeOf(addr.replicas[w.r]))) {
+        w.state = AckWait::State::kDropped;
+        --open;
+        continue;
+      }
+      poll_sessions.push_back(w.session);
+    }
+    if (poll_sessions.empty()) break;
+    // Coalesced high-water poll (DESIGN.md §12): every open replica's
+    // applied_seq word is fetched in one chained post over the sessions'
+    // shared CQ — one doorbell + one completion per round instead of one
+    // full round trip per replica.
+    const uint64_t poll_ns0 = s.shipper.modeled_ns();
+    if (s.shipper.ReadAppliedBatch(poll_sessions.data(), poll_sessions.size())
+            .ok()) {
+      ++shard.doorbell_batches;
+      shard.doorbell_batched_wrs += poll_sessions.size();
+    }
+    const uint64_t round_poll_ns = s.shipper.modeled_ns() - poll_ns0;
+    for (AckWait& w : waits) {
+      if (w.state != AckWait::State::kOpen ||
+          s.shipper.acked(w.session) < w.seq) {
+        continue;
+      }
+      w.state = AckWait::State::kAcked;
+      --open;
+      // Per-replica op cost = its record write + the chained high-water
+      // poll that *observed* the ack. The fan-out is concurrent (the
+      // writer posts every replica's WRITE back to back) and the
+      // intermediate poll count is a wall-clock artifact of running
+      // applier threads at host speed, so the modeled latency is the
+      // slowest replica's write+ack pair — not the sum of every poll.
+      ack_ns = std::max(ack_ns, w.ship_ns + round_poll_ns);
+    }
+    if (open == 0) break;
+    if (++round % kQuorumRetransmitEvery == 0) {
+      for (const AckWait& w : waits) {
+        if (w.state == AckWait::State::kOpen) {
+          s.shipper.Retransmit(w.session).ok();
+        }
+      }
+    }
+    sim::Pace(kQuorumPollGapNs);
+  }
+  return ack_ns;
+}
+
+Result<bool> ReplicatedContext::ReadImage(Stack& s, ReplicatedAddr* addr,
+                                          size_t r,
+                                          rdma::ReplObjectHeader* h) {
+  const size_t image_len = sizeof(rdma::ReplObjectHeader) + addr->size;
+  s.read.resize(image_len);
+  CORM_RETURN_NOT_OK(
+      s.dsm.ReadWithRecovery(&addr->replicas[r], s.read.data(), image_len));
+  std::memcpy(h, s.read.data(), sizeof(*h));
+  return h->len <= addr->size &&
+         rdma::ReplObjectValid(*h, s.read.data() + sizeof(*h));
 }
 
 Result<ReplicatedAddr> ReplicatedContext::Alloc(size_t size) {
@@ -136,15 +209,15 @@ Result<ReplicatedAddr> ReplicatedContext::Alloc(size_t size) {
   // version 0), carried in its Alloc RPC, so appliers and readers always
   // parse a valid stored header — a raw slot would make the first epoch
   // fence and the first read-validation undefined.
-  BuildImage(&image_scratch_, addr.epoch, 0, nullptr, 0);
+  BuildImage(&stack_.image, addr.epoch, 0, nullptr, 0);
   std::set<int> used;
-  const FailureDetector& detector = *dsm_.cluster()->failure_detector();
+  const FailureDetector& detector = *stack_.dsm.cluster()->failure_detector();
   // Place each replica on a distinct node the detector trusts.
   for (int r = 0; r < k_; ++r) {
     int node = -1;
-    for (int attempt = 0; attempt < 4 * dsm_.cluster()->num_nodes();
+    for (int attempt = 0; attempt < 4 * stack_.dsm.cluster()->num_nodes();
          ++attempt) {
-      const int candidate = dsm_.cluster()->PickNode();
+      const int candidate = stack_.dsm.cluster()->PickNode();
       if (!used.count(candidate) && detector.Serving(candidate)) {
         node = candidate;
         break;
@@ -152,15 +225,15 @@ Result<ReplicatedAddr> ReplicatedContext::Alloc(size_t size) {
     }
     if (node < 0) {
       // Unwind partial placement.
-      for (auto& replica : addr.replicas) dsm_.Free(&replica).ok();
+      for (auto& replica : addr.replicas) stack_.dsm.Free(&replica).ok();
       return Status::NetworkError("not enough live nodes for replication");
     }
     used.insert(node);
-    auto replica = dsm_.AllocOn(node, size + sizeof(rdma::ReplObjectHeader),
-                                Slice(image_scratch_.data(),
-                                      image_scratch_.size()));
+    auto replica =
+        stack_.dsm.AllocOn(node, size + sizeof(rdma::ReplObjectHeader),
+                           Slice(stack_.image.data(), stack_.image.size()));
     if (!replica.ok()) {
-      for (auto& r2 : addr.replicas) dsm_.Free(&r2).ok();
+      for (auto& r2 : addr.replicas) stack_.dsm.Free(&r2).ok();
       return replica.status();
     }
     addr.replicas.push_back(*replica);
@@ -173,7 +246,7 @@ Status ReplicatedContext::Write(ReplicatedAddr* addr, const void* buf,
   if (addr->IsNull()) return Status::InvalidArgument("null replicated addr");
   if (size > addr->size)
     return Status::InvalidArgument("write exceeds replicated object size");
-  Cluster& cluster = *dsm_.cluster();
+  Cluster& cluster = *stack_.dsm.cluster();
   uint64_t fallback_ns = 0;
 
   // A dead primary fails over first, so the new epoch is sealed before this
@@ -185,18 +258,11 @@ Status ReplicatedContext::Write(ReplicatedAddr* addr, const void* buf,
   // The version is consumed even if the write later fails: a replica may
   // already hold a record carrying it, so a retry must never reuse it.
   const uint64_t version = ++addr->next_version;
-  BuildImage(&image_scratch_, addr->epoch, version, buf, size);
+  BuildImage(&stack_.image, addr->epoch, version, buf, size);
   core::NodeStatShard& shard = PrimaryShard(*addr);
 
-  struct Pending {
-    size_t r = 0;
-    int session = -1;
-    uint64_t seq = 0;
-    uint64_t ship_ns = 0;  // modeled cost of this replica's record write
-    bool done = false;
-  };
-  std::vector<Pending> pending;
-  pending.reserve(addr->replicas.size());
+  std::vector<AckWait> waits;
+  waits.reserve(addr->replicas.size());
   bool any_durable = false;
   bool degraded = false;
 
@@ -206,11 +272,9 @@ Status ReplicatedContext::Write(ReplicatedAddr* addr, const void* buf,
       degraded = true;
       continue;
     }
-    const int session = SessionFor(node);
-    uint64_t seq = 0;
-    const uint64_t replica_ns0 = shipper_.modeled_ns();
-    Status st = ShipImage(&shipper_, session, &dsm_, &addr->replicas[r],
-                          addr->epoch, version, image_scratch_, &seq);
+    AckWait w;
+    Status st = ShipImage(stack_, addr, r, addr->epoch, version, stack_.image,
+                          &w);
     if (!st.ok()) {
       if (FailoverWorthy(st)) {
         degraded = true;
@@ -219,74 +283,34 @@ Status ReplicatedContext::Write(ReplicatedAddr* addr, const void* buf,
       return st;
     }
     ++shard.repl_ship_records;
-    if (seq == 0) {
+    if (w.seq == 0) {
       // RPC fallback: already applied server-side.
       any_durable = true;
-      fallback_ns = std::max(
-          fallback_ns,
-          dsm_.context(NodeOf(addr->replicas[r]))->stats().last_op_ns);
+      fallback_ns =
+          std::max(fallback_ns, stack_.dsm.context(node)->stats().last_op_ns);
     } else {
-      pending.push_back(Pending{r, session, seq,
-                                shipper_.modeled_ns() - replica_ns0, false});
+      waits.push_back(w);
     }
   }
 
   // Quorum ack: every still-live replica we shipped to must have applied
-  // the record. Replicas that die mid-wait drop out of the quorum (their
-  // copy is repaired by anti-entropy); the ack still requires at least one
-  // durable copy.
-  Deadline deadline(QuorumDeadlineNs());
-  size_t open = pending.size();
-  int round = 0;
-  uint64_t ack_ns = 0;
-  std::vector<int> poll_sessions;
-  poll_sessions.reserve(pending.size());
-  while (open > 0 && !deadline.Expired()) {
-    poll_sessions.clear();
-    for (auto& p : pending) {
-      if (p.done) continue;
-      if (!ReplicaLive(cluster, NodeOf(addr->replicas[p.r]))) {
-        p.done = true;
-        --open;
-        degraded = true;
-        continue;
-      }
-      poll_sessions.push_back(p.session);
-    }
-    if (poll_sessions.empty()) break;
-    // Coalesced high-water poll (DESIGN.md §12): every open replica's
-    // applied_seq word is fetched in one chained post over the sessions'
-    // shared CQ — one doorbell + one completion per round instead of one
-    // full round trip per replica.
-    const uint64_t poll_ns0 = shipper_.modeled_ns();
-    if (shipper_.ReadAppliedBatch(poll_sessions.data(), poll_sessions.size())
-            .ok()) {
-      ++shard.doorbell_batches;
-      shard.doorbell_batched_wrs += poll_sessions.size();
-    }
-    const uint64_t round_poll_ns = shipper_.modeled_ns() - poll_ns0;
-    for (auto& p : pending) {
-      if (p.done) continue;
-      if (shipper_.acked(p.session) >= p.seq) {
-        p.done = true;
-        --open;
+  // the record. Replicas that die mid-wait drop out of the quorum; the ack
+  // still requires at least one durable copy.
+  const uint64_t ack_ns =
+      AwaitAcks(stack_, *addr, waits, Deadline(QuorumDeadlineNs()));
+  size_t open = 0;
+  for (const AckWait& w : waits) {
+    switch (w.state) {
+      case AckWait::State::kAcked:
         any_durable = true;
-        // Per-replica op cost = its record write + the chained high-water
-        // poll that *observed* the ack. The fan-out is concurrent (the
-        // writer posts every replica's WRITE back to back) and the
-        // intermediate poll count is a wall-clock artifact of running
-        // applier threads at host speed, so the write's modeled latency is
-        // the slowest replica's write+ack pair — not the sum of every poll.
-        ack_ns = std::max(ack_ns, p.ship_ns + round_poll_ns);
-      }
+        break;
+      case AckWait::State::kDropped:
+        degraded = true;
+        break;
+      case AckWait::State::kOpen:
+        ++open;
+        break;
     }
-    if (open == 0) break;
-    if (++round % kQuorumRetransmitEvery == 0) {
-      for (auto& p : pending) {
-        if (!p.done) shipper_.Retransmit(p.session).ok();
-      }
-    }
-    sim::Pace(kQuorumPollGapNs);
   }
 
   if (degraded) {
@@ -318,9 +342,7 @@ Status ReplicatedContext::Read(ReplicatedAddr* addr, void* buf, size_t size) {
   if (addr->IsNull()) return Status::InvalidArgument("null replicated addr");
   if (size > addr->size)
     return Status::InvalidArgument("read exceeds replicated object size");
-  Cluster& cluster = *dsm_.cluster();
-  const size_t image_len = sizeof(rdma::ReplObjectHeader) + addr->size;
-  read_scratch_.resize(image_len);
+  Cluster& cluster = *stack_.dsm.cluster();
 
   Status last = Status::NetworkError("no replicas");
   bool failed_over = false;
@@ -334,27 +356,21 @@ Status ReplicatedContext::Read(ReplicatedAddr* addr, void* buf, size_t size) {
       last = Status::NetworkError("replica presumed dead");
       continue;
     }
-    Status st = dsm_.ReadWithRecovery(&addr->replicas[r], read_scratch_.data(),
-                                      image_len);
-    if (!st.ok()) {
-      last = st;
-      if (FailoverWorthy(st) || st.code() == StatusCode::kTornRead) {
+    rdma::ReplObjectHeader h;
+    auto valid = ReadImage(stack_, addr, r, &h);
+    if (!valid.ok()) {
+      last = valid.status();
+      if (FailoverWorthy(last) || last.code() == StatusCode::kTornRead) {
         failed_over = true;
         continue;
       }
-      return st;
+      return last;
     }
-    rdma::ReplObjectHeader h;
-    std::memcpy(&h, read_scratch_.data(), sizeof(h));
-    const uint8_t* payload = read_scratch_.data() + sizeof(h);
     // An acked write can never be un-read: the copy must checksum AND be at
     // least as new as the acked high-water mark. (A version beyond
     // `committed` is an applied-but-unacked write from this same owner —
     // newer data, safe to serve.)
-    const bool valid = h.len <= addr->size &&
-                       rdma::ReplObjectValid(h, payload) &&
-                       h.version >= addr->committed;
-    if (!valid) {
+    if (!*valid || h.version < addr->committed) {
       ++stale_reads_;
       ++PrimaryShard(*addr).repl_stale_reads;
       EnqueueRepair(*addr);
@@ -366,7 +382,7 @@ Status ReplicatedContext::Read(ReplicatedAddr* addr, void* buf, size_t size) {
     // seal converges.
     if (h.epoch < addr->epoch) EnqueueRepair(*addr);
     const size_t n = std::min<size_t>(size, h.len);
-    std::memcpy(buf, payload, n);
+    std::memcpy(buf, stack_.read.data() + sizeof(h), n);
     // Bytes never written read as zero (the image starts life empty).
     if (size > n) std::memset(static_cast<uint8_t*>(buf) + n, 0, size - n);
     if (failed_over) ++failovers_;
@@ -378,7 +394,7 @@ Status ReplicatedContext::Read(ReplicatedAddr* addr, void* buf, size_t size) {
 Status ReplicatedContext::Free(ReplicatedAddr* addr) {
   Status result;
   for (auto& replica : addr->replicas) {
-    Status st = dsm_.Free(&replica);
+    Status st = stack_.dsm.Free(&replica);
     // Unreachable replicas leak until re-replication; report the first
     // hard error otherwise.
     if (!st.ok() && !FailoverWorthy(st) && result.ok()) {
@@ -391,7 +407,7 @@ Status ReplicatedContext::Free(ReplicatedAddr* addr) {
 
 Status ReplicatedContext::Failover(ReplicatedAddr* addr) {
   if (addr->IsNull()) return Status::InvalidArgument("null replicated addr");
-  Cluster& cluster = *dsm_.cluster();
+  Cluster& cluster = *stack_.dsm.cluster();
 
   // Rotate the first live replica to primary.
   int live = -1;
@@ -416,29 +432,27 @@ Status ReplicatedContext::Failover(ReplicatedAddr* addr) {
 
   // Seal the new epoch on every live replica: once the seal applies, any
   // record still in flight under the old epoch is fenced at apply time.
-  Deadline deadline(QuorumDeadlineNs());
-  struct SealWait {
-    int session = -1;
-    uint64_t seq = 0;
-  };
-  std::vector<SealWait> seals;
-  for (auto& replica : addr->replicas) {
-    const int node = NodeOf(replica);
+  const Deadline deadline(QuorumDeadlineNs());
+  std::vector<AckWait> seals;
+  for (size_t r = 0; r < addr->replicas.size(); ++r) {
+    const int node = NodeOf(addr->replicas[r]);
     if (!ReplicaLive(cluster, node)) continue;
-    const int session = SessionFor(node);
-    if (session < 0) continue;
+    AckWait w;
+    w.r = r;
+    w.session = SessionFor(stack_, node);
+    if (w.session < 0) continue;
     uint8_t ab[16];
-    AddrBytes(replica, ab);
-    auto seq = shipper_.Ship(session, rdma::kReplRecordSeal, addr->epoch,
-                             /*version=*/0, ab, Slice());
-    if (seq.ok()) seals.push_back(SealWait{session, *seq});
+    AddrBytes(addr->replicas[r], ab);
+    auto seq = stack_.shipper.Ship(w.session, rdma::kReplRecordSeal,
+                                   addr->epoch, /*version=*/0, ab, Slice());
+    if (!seq.ok()) continue;
+    w.seq = *seq;
+    seals.push_back(w);
   }
-  for (auto& s : seals) {
-    // Best effort within the deadline: a replica that misses the seal is
-    // converged by anti-entropy, and its stale-epoch records still lose to
-    // newer versions on apply.
-    shipper_.AwaitApplied(s.session, s.seq, deadline).ok();
-  }
+  // Best effort within the deadline: a replica that misses the seal is
+  // converged by anti-entropy, and its stale-epoch records still lose to
+  // newer versions on apply.
+  AwaitAcks(stack_, *addr, seals, deadline);
 
   // Fault site repl.seal_race: model the dead primary's last in-flight
   // record arriving AFTER the seal — shipped under the old epoch with a
@@ -447,85 +461,106 @@ Status ReplicatedContext::Failover(ReplicatedAddr* addr) {
   if (auto* injector = sim::GlobalFaultInjector(); injector != nullptr) {
     uint64_t delay_ns = 0;
     if (injector->ShouldFire(sim::fault_sites::kReplSealRace, &delay_ns) &&
-        !image_scratch_.empty()) {
-      const int node = NodeOf(addr->replicas[0]);
-      const int session = SessionFor(node);
-      if (session >= 0 && image_scratch_.size() <= shipper_.capacity(session)) {
+        !stack_.image.empty()) {
+      const int session = SessionFor(stack_, NodeOf(addr->replicas[0]));
+      if (session >= 0 &&
+          stack_.image.size() <= stack_.shipper.capacity(session)) {
         uint8_t ab[16];
         AddrBytes(addr->replicas[0], ab);
-        shipper_
+        stack_.shipper
             .Ship(session, rdma::kReplRecordData, old_epoch,
                   addr->next_version + 1, ab,
-                  Slice(image_scratch_.data(), image_scratch_.size()))
+                  Slice(stack_.image.data(), stack_.image.size()))
             .ok();
       }
     }
   }
 
-  // Reconcile: find the maximum valid version across live replicas and
-  // bring every live laggard up to it through the version-fenced log.
-  const size_t image_len = sizeof(rdma::ReplObjectHeader) + addr->size;
-  read_scratch_.resize(image_len);
-  std::vector<uint64_t> seen(addr->replicas.size(), 0);
-  std::vector<bool> readable(addr->replicas.size(), false);
-  uint64_t v_max = 0;
-  bool have = false;
-  for (size_t r = 0; r < addr->replicas.size(); ++r) {
-    if (!ReplicaLive(cluster, NodeOf(addr->replicas[r]))) continue;
-    Status st = dsm_.ReadWithRecovery(&addr->replicas[r], read_scratch_.data(),
-                                      image_len);
-    if (!st.ok()) continue;
-    rdma::ReplObjectHeader h;
-    std::memcpy(&h, read_scratch_.data(), sizeof(h));
-    const uint8_t* payload = read_scratch_.data() + sizeof(h);
-    if (h.len > addr->size || !rdma::ReplObjectValid(h, payload)) continue;
-    readable[r] = true;
-    seen[r] = h.version;
-    if (!have || h.version > v_max) {
-      v_max = h.version;
-      have = true;
-      image_scratch_.assign(
-          read_scratch_.begin(),
-          read_scratch_.begin() + static_cast<long>(sizeof(h) + h.len));
-    }
-  }
-  if (!have || v_max < addr->committed) {
+  // Reconcile and re-replicate: every live replica converges on the newest
+  // valid image. The seal has just raised each of them to `addr->epoch`,
+  // so the stamp is the new epoch.
+  const Convergence c = Converge(stack_, addr, deadline);
+  if (!c.have || c.v_max < addr->committed) {
     // Transient: the committed state lives only on currently-dead replicas.
     // The epoch bump is safe to keep — retry after a replica revives.
     EnqueueRepair(*addr);
     return Status::Timeout("failover cannot reach committed state yet");
   }
+  if (!c.converged) EnqueueRepair(*addr);
+  addr->next_version = std::max(addr->next_version, c.v_max);
+  addr->committed = std::max(addr->committed, c.v_max);
+  return Status::OK();
+}
 
-  // Stamp the reconciled image with the new epoch (the object crc excludes
-  // the epoch, so the image stays self-validating) and re-ship it to every
-  // live replica that is behind. The log's version fence makes this safe
-  // against any record that applied concurrently.
-  std::memcpy(image_scratch_.data(), &addr->epoch, sizeof(addr->epoch));
-  bool all_converged = true;
+ReplicatedContext::Convergence ReplicatedContext::Converge(
+    Stack& s, ReplicatedAddr* addr, const Deadline& deadline) {
+  Cluster& cluster = *s.dsm.cluster();
+  Convergence c;
+
+  // Pass 1: the newest valid image across live replicas.
+  std::vector<uint64_t> seen(addr->replicas.size(), 0);
+  std::vector<bool> readable(addr->replicas.size(), false);
+  uint32_t epoch = addr->epoch;
+  bool all_live = true;
   for (size_t r = 0; r < addr->replicas.size(); ++r) {
-    const int node = NodeOf(addr->replicas[r]);
-    if (!ReplicaLive(cluster, node)) {
-      all_converged = false;
+    if (!ReplicaLive(cluster, NodeOf(addr->replicas[r]))) {
+      all_live = false;
       continue;
     }
-    if (readable[r] && seen[r] >= v_max) continue;
-    const int session = SessionFor(node);
-    uint64_t seq = 0;
-    Status st = ShipImage(&shipper_, session, &dsm_, &addr->replicas[r],
-                          addr->epoch, v_max, image_scratch_, &seq);
-    if (!st.ok()) {
-      all_converged = false;
+    rdma::ReplObjectHeader h;
+    auto valid = ReadImage(s, addr, r, &h);
+    if (!valid.ok()) {
+      const StatusCode code = valid.status().code();
+      c.vanished |= code == StatusCode::kNotFound ||
+                    code == StatusCode::kInvalidArgument;
+      all_live = false;
       continue;
     }
-    if (seq != 0 && !shipper_.AwaitApplied(session, seq, deadline).ok()) {
-      all_converged = false;
+    if (!*valid) continue;
+    readable[r] = true;
+    seen[r] = h.version;
+    epoch = std::max(epoch, h.epoch);
+    if (!c.have || h.version > c.v_max) {
+      c.v_max = h.version;
+      c.have = true;
+      s.image.assign(s.read.begin(),
+                     s.read.begin() + static_cast<long>(sizeof(h) + h.len));
     }
   }
-  if (!all_converged) EnqueueRepair(*addr);
+  if (!c.have || c.vanished) return c;
 
-  addr->next_version = std::max(addr->next_version, v_max);
-  addr->committed = std::max(addr->committed, v_max);
-  return Status::OK();
+  // Pass 2: stamp the best image with the highest epoch (the object crc
+  // excludes the epoch, so the image stays self-validating) and reship it
+  // to every live laggard. Reships flow through the same version-fenced
+  // log as writes, so a racing newer write can never be regressed — the
+  // applier drops the reship as a duplicate.
+  std::memcpy(s.image.data(), &epoch, sizeof(epoch));
+  c.converged = all_live;
+  std::vector<AckWait> waits;
+  for (size_t r = 0; r < addr->replicas.size(); ++r) {
+    if (!ReplicaLive(cluster, NodeOf(addr->replicas[r]))) {
+      c.converged = false;
+      continue;
+    }
+    if (readable[r] && seen[r] >= c.v_max) continue;
+    AckWait w;
+    if (!ShipImage(s, addr, r, epoch, c.v_max, s.image, &w).ok()) {
+      c.converged = false;
+    } else if (w.seq == 0) {
+      c.reshipped.push_back(r);
+    } else {
+      waits.push_back(w);
+    }
+  }
+  AwaitAcks(s, *addr, waits, deadline);
+  for (const AckWait& w : waits) {
+    if (w.state == AckWait::State::kAcked) {
+      c.reshipped.push_back(w.r);
+    } else {
+      c.converged = false;
+    }
+  }
+  return c;
 }
 
 // --- Anti-entropy. ----------------------------------------------------------
@@ -549,7 +584,7 @@ void ReplicatedContext::EnqueueRepair(const ReplicatedAddr& addr) {
       return;
     }
   }
-  if (repairs_.size() >= options_.max_pending_repairs) return;
+  if (repairs_.size() >= kMaxPendingRepairs) return;
   repairs_.push_back(RepairTask{addr, 0});
 }
 
@@ -562,14 +597,13 @@ void ReplicatedContext::StartAntiEntropy(int scheduler_node) {
   if (anti_entropy_task_ >= 0) return;
   anti_entropy_node_ = scheduler_node;
   anti_entropy_task_ =
-      dsm_.cluster()->node(scheduler_node)->RegisterBackgroundTask([this] {
-        RunAntiEntropySweep(options_.anti_entropy_budget);
-      });
+      stack_.dsm.cluster()->node(scheduler_node)->RegisterBackgroundTask(
+          [this] { RunAntiEntropySweep(kAntiEntropyBudget); });
 }
 
 void ReplicatedContext::StopAntiEntropy() {
   if (anti_entropy_task_ < 0) return;
-  dsm_.cluster()
+  stack_.dsm.cluster()
       ->node(anti_entropy_node_)
       ->UnregisterBackgroundTask(anti_entropy_task_);
   anti_entropy_task_ = -1;
@@ -577,13 +611,11 @@ void ReplicatedContext::StopAntiEntropy() {
 }
 
 size_t ReplicatedContext::RunAntiEntropySweep(size_t budget) {
-  // Scheduler-thread entry. The sweep owns a private client stack — a
-  // DsmContext and a shipper are single-threaded handles, so the owner
-  // thread's must not be touched here — built lazily on first sweep.
-  if (!repair_dsm_) {
-    repair_dsm_ = std::make_unique<DsmContext>(dsm_.cluster(), client_options_);
-    repair_shipper_ = std::make_unique<rdma::ReplicaLogShipper>();
-    repair_session_for_node_.assign(dsm_.cluster()->num_nodes(), -1);
+  // Scheduler-thread entry. The sweep owns a private client stack — the
+  // owner thread's must not be touched here — built lazily on first sweep.
+  if (!repair_stack_) {
+    repair_stack_ =
+        std::make_unique<Stack>(stack_.dsm.cluster(), client_options_);
   }
   size_t converged = 0;
   for (size_t i = 0; i < budget; ++i) {
@@ -598,7 +630,7 @@ size_t ReplicatedContext::RunAntiEntropySweep(size_t budget) {
       ++converged;
     } else if (++task.attempts < kMaxRepairAttempts) {
       LockGuard<Mutex> lock(repair_mu_);
-      if (repairs_.size() < options_.max_pending_repairs)
+      if (repairs_.size() < kMaxPendingRepairs)
         repairs_.push_back(std::move(task));
     }
   }
@@ -606,82 +638,18 @@ size_t ReplicatedContext::RunAntiEntropySweep(size_t budget) {
 }
 
 bool ReplicatedContext::RepairOne(RepairTask* task) {
-  ReplicatedAddr& a = task->snapshot;
-  Cluster& cluster = *dsm_.cluster();
-  const size_t image_len = sizeof(rdma::ReplObjectHeader) + a.size;
-  repair_scratch_.resize(image_len);
-
-  // Pass 1: newest valid image across live replicas.
-  std::vector<uint64_t> seen(a.replicas.size(), 0);
-  std::vector<bool> readable(a.replicas.size(), false);
-  uint64_t v_max = 0;
-  uint32_t e_max = a.epoch;
-  bool have = false;
-  bool all_live = true;
-  for (size_t r = 0; r < a.replicas.size(); ++r) {
-    const int node = NodeOf(a.replicas[r]);
-    if (!ReplicaLive(cluster, node)) {
-      all_live = false;
-      continue;
-    }
-    Status st = repair_dsm_->ReadWithRecovery(&a.replicas[r],
-                                              repair_scratch_.data(),
-                                              image_len);
-    if (!st.ok()) {
-      // The object vanished under the sweep (freed): drop the task.
-      if (st.code() == StatusCode::kNotFound ||
-          st.code() == StatusCode::kInvalidArgument) {
-        return true;
-      }
-      all_live = false;
-      continue;
-    }
-    rdma::ReplObjectHeader h;
-    std::memcpy(&h, repair_scratch_.data(), sizeof(h));
-    const uint8_t* payload = repair_scratch_.data() + sizeof(h);
-    if (h.len > a.size || !rdma::ReplObjectValid(h, payload)) continue;
-    readable[r] = true;
-    seen[r] = h.version;
-    e_max = std::max(e_max, h.epoch);
-    if (!have || h.version > v_max) {
-      v_max = h.version;
-      have = true;
-      repair_best_.assign(
-          repair_scratch_.begin(),
-          repair_scratch_.begin() + static_cast<long>(sizeof(h) + h.len));
-    }
-  }
-  if (!have) return false;  // nothing valid reachable yet — retry later
-
-  // Pass 2: re-ship the best image (stamped with the highest epoch seen) to
-  // every live replica that is behind. Repairs flow through the same
-  // version-fenced log as writes, so a racing newer write can never be
-  // regressed — the applier drops the repair as a duplicate.
-  std::memcpy(repair_best_.data(), &e_max, sizeof(e_max));
-  bool converged = all_live;
-  for (size_t r = 0; r < a.replicas.size(); ++r) {
-    const int node = NodeOf(a.replicas[r]);
-    if (!ReplicaLive(cluster, node)) continue;
-    if (readable[r] && seen[r] >= v_max) continue;
-    const int session = RepairSessionFor(node);
-    uint64_t seq = 0;
-    Status st = ShipImage(repair_shipper_.get(), session, repair_dsm_.get(),
-                          &a.replicas[r], e_max, v_max, repair_best_, &seq);
-    if (!st.ok()) {
-      converged = false;
-      continue;
-    }
-    if (seq != 0) {
-      Deadline deadline(QuorumDeadlineNs());
-      if (!repair_shipper_->AwaitApplied(session, seq, deadline).ok()) {
-        converged = false;
-        continue;
-      }
-    }
+  const Convergence c = Converge(*repair_stack_, &task->snapshot,
+                                 Deadline(QuorumDeadlineNs()));
+  // The object vanished under the sweep (freed): drop the task.
+  if (c.vanished) return true;
+  Cluster& cluster = *repair_stack_->dsm.cluster();
+  for (size_t r : c.reshipped) {
     anti_entropy_repairs_.fetch_add(1, std::memory_order_relaxed);
-    ++cluster.node(node)->client_stat_shard().repl_anti_entropy_repairs;
+    ++cluster.node(NodeOf(task->snapshot.replicas[r]))
+          ->client_stat_shard()
+          .repl_anti_entropy_repairs;
   }
-  return converged;
+  return c.converged;
 }
 
 }  // namespace corm::dsm

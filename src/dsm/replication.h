@@ -43,6 +43,8 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/result.h"
+#include "common/retry.h"
 #include "common/slice.h"
 #include "dsm/dsm_context.h"
 #include "rdma/log_shipper.h"
@@ -72,14 +74,10 @@ struct ReplicationOptions {
   // Ingress ring geometry per (context, replica-node) session.
   uint32_t ring_slots = 64;
   uint32_t ring_slot_bytes = 1024;
-  // Wall-clock budget for the quorum ack wait (and the failover seal).
-  // 0 derives it from the client options' rpc_retry deadline.
+  // Wall-clock budget for every ack wait (a write's quorum, the failover
+  // seal and reconcile, one repair). 0 derives it from the client options'
+  // rpc_retry deadline.
   uint64_t quorum_deadline_ns = 0;
-  // Repairs attempted per anti-entropy sweep tick.
-  size_t anti_entropy_budget = 8;
-  // Bounded repair backlog; excess enqueues are dropped (the next degraded
-  // op re-enqueues).
-  size_t max_pending_repairs = 1024;
 };
 
 class ReplicatedContext {
@@ -157,31 +155,84 @@ class ReplicatedContext {
   // + any RPC fallback) — the replication bench's latency probe.
   uint64_t last_op_ns() const { return last_op_ns_; }
 
-  DsmContext* dsm() { return &dsm_; }
+  DsmContext* dsm() { return &stack_.dsm; }
 
  private:
+  // One client stack: a DsmContext, the log shipper with its per-node
+  // session table, and the image buffers. Both are single-threaded
+  // handles, so the owner thread has one and the anti-entropy sweep builds
+  // its own.
+  struct Stack {
+    Stack(Cluster* cluster, const core::Context::Options& options)
+        : dsm(cluster, options), session_for_node(cluster->num_nodes(), -1) {}
+    DsmContext dsm;
+    rdma::ReplicaLogShipper shipper;
+    std::vector<int> session_for_node;
+    Buffer image;  // the image being shipped
+    Buffer read;   // the replica image last read
+  };
+
+  // One record a replica must apply before its caller goes on.
+  struct AckWait {
+    enum class State : uint8_t { kOpen, kAcked, kDropped };
+    size_t r = 0;  // replica index in the address
+    int session = -1;
+    uint64_t seq = 0;      // 0 = RPC fallback, durable when shipped
+    uint64_t ship_ns = 0;  // modeled cost of this replica's record write
+    State state = State::kOpen;
+  };
+
+  // What one convergence pass over a replica set read and did.
+  struct Convergence {
+    bool vanished = false;   // a live replica no longer holds the object
+    bool have = false;       // some live replica holds a valid image
+    uint64_t v_max = 0;      // newest valid version read
+    bool converged = false;  // every replica live and now at v_max
+    std::vector<size_t> reshipped;  // laggards whose reship applied
+  };
+
   struct RepairTask {
     ReplicatedAddr snapshot;
     int attempts = 0;
   };
 
-  // Lazily opens the log-shipping session to `node` (ingress ring on the
-  // replica + shipper session), memoized per node. -1 when setup failed.
-  int SessionFor(int node);
-  // Same, for the sweep's dedicated shipper (scheduler thread).
-  int RepairSessionFor(int node);
+  // Lazily opens the log-shipping session from `s` to `node` (ingress ring
+  // on the replica + shipper session), memoized per node. -1 when setup
+  // failed.
+  int SessionFor(Stack& s, int node);
 
   // Builds the replica image [ReplObjectHeader | payload] into `out`.
   static void BuildImage(Buffer* out, uint32_t epoch, uint64_t version,
                          const void* buf, size_t size);
 
   // Ships `image` as a version-`version` data record to replica `r` of
-  // `addr` through `shipper`/`session` — falling back to a direct RPC
-  // write when the image exceeds the ring slot. On success stores the
-  // assigned sequence in `*seq` (0 = RPC fallback, already durable).
-  Status ShipImage(rdma::ReplicaLogShipper* shipper, int session,
-                   DsmContext* dsm, core::GlobalAddr* replica, uint32_t epoch,
-                   uint64_t version, const Buffer& image, uint64_t* seq);
+  // `addr` through `s`, falling back to a direct RPC write when the image
+  // exceeds the ring slot. On success `*wait` names the record to await
+  // (seq 0 = RPC fallback, already durable).
+  Status ShipImage(Stack& s, ReplicatedAddr* addr, size_t r, uint32_t epoch,
+                   uint64_t version, const Buffer& image, AckWait* wait);
+
+  // The one ack wait: polls every open replica's applied high-water mark
+  // in one chained read per round until each has applied its record, died
+  // (kDropped) or the deadline passes (left kOpen), retransmitting the
+  // unacked windows every few rounds. Returns the slowest acked replica's
+  // record write plus the poll that observed its ack (modeled ns).
+  uint64_t AwaitAcks(Stack& s, const ReplicatedAddr& addr,
+                     std::vector<AckWait>& waits, const Deadline& deadline);
+
+  // Reads replica `r` of `addr` into `s.read` and parses its header into
+  // `*h`. Returns the read's error, else whether the image is well formed
+  // (length within the object, crc valid).
+  Result<bool> ReadImage(Stack& s, ReplicatedAddr* addr, size_t r,
+                         rdma::ReplObjectHeader* h);
+
+  // The one convergence routine (failover reconcile and anti-entropy
+  // repair): reads every live replica, takes the newest valid image,
+  // stamps it with max(addr epoch, highest epoch read), reships it to the
+  // live laggards through the version-fenced log and waits for them. Stops
+  // after the reads when nothing valid was found or the object vanished.
+  Convergence Converge(Stack& s, ReplicatedAddr* addr,
+                       const Deadline& deadline);
 
   void EnqueueRepair(const ReplicatedAddr& addr);
   // Repairs one snapshot; true when the object converged (or vanished).
@@ -193,14 +244,10 @@ class ReplicatedContext {
   // Owner-thread state (a ReplicatedContext, like the core::Context it
   // wraps, is a per-client-thread handle; only the repair queue and the
   // sweep's own state cross threads).
-  DsmContext dsm_;
+  Stack stack_;
   const int k_;
   const core::Context::Options client_options_;
   const ReplicationOptions options_;
-  rdma::ReplicaLogShipper shipper_;
-  std::vector<int> session_for_node_;
-  Buffer image_scratch_;
-  Buffer read_scratch_;
   uint64_t degraded_writes_ = 0;
   uint64_t failovers_ = 0;
   uint64_t acked_writes_ = 0;
@@ -216,12 +263,9 @@ class ReplicatedContext {
   std::atomic<uint64_t> anti_entropy_repairs_{0};
 
   // Sweep-thread state: touched only from the scheduler tick (and after
-  // StopAntiEntropy's unregister barrier, never again).
-  std::unique_ptr<DsmContext> repair_dsm_;
-  std::unique_ptr<rdma::ReplicaLogShipper> repair_shipper_;
-  std::vector<int> repair_session_for_node_;
-  Buffer repair_scratch_;
-  Buffer repair_best_;
+  // StopAntiEntropy's unregister barrier, never again). Built on the first
+  // sweep.
+  std::unique_ptr<Stack> repair_stack_;
   int anti_entropy_node_ = -1;
   int anti_entropy_task_ = -1;
 };

@@ -15,14 +15,6 @@
 
 namespace corm::rdma {
 
-namespace {
-// Modeled gap between ack polls: the primary's doorbell/poll cadence, well
-// under one fabric round trip.
-constexpr uint64_t kAckPollGapNs = 200;
-// Retransmit the unacked window every Nth unproductive ack poll.
-constexpr int kRetransmitEvery = 8;
-}  // namespace
-
 int ReplicaLogShipper::AddSession(Rnic* remote_rnic, sim::VAddr ring_base,
                                   RKey r_key, uint32_t slots,
                                   uint32_t slot_bytes, uint32_t imm) {
@@ -50,10 +42,6 @@ uint32_t ReplicaLogShipper::capacity(int session) const {
 
 uint64_t ReplicaLogShipper::acked(int session) const {
   return sessions_[session]->acked;
-}
-
-uint64_t ReplicaLogShipper::next_seq(int session) const {
-  return sessions_[session]->next;
 }
 
 Status ReplicaLogShipper::WriteSlot(Session& s, uint64_t seq) {
@@ -85,9 +73,12 @@ Result<uint64_t> ReplicaLogShipper::Ship(int session, uint8_t kind,
   const uint64_t seq = s.next;
   if (seq > s.acked + s.slots) {
     // Window full: the slot for `seq` still holds an unapplied record.
-    // Refresh the ack one-sidedly before giving up.
-    auto applied = ReadApplied(session);
-    CORM_RETURN_NOT_OK(applied.status());
+    // Refresh the ack one-sidedly before giving up; a QP that breaks on the
+    // read is reconnected by the next batch, which reads once more.
+    CORM_RETURN_NOT_OK(ReadAppliedBatch(&session, 1).status());
+    if (s.qp.state() == QueuePair::State::kError) {
+      CORM_RETURN_NOT_OK(ReadAppliedBatch(&session, 1).status());
+    }
     if (seq > s.acked + s.slots) {
       return Status::NetworkError("repl ring window full");
     }
@@ -117,27 +108,6 @@ Result<uint64_t> ReplicaLogShipper::Ship(int session, uint8_t kind,
   }
   s.next = seq + 1;
   return seq;
-}
-
-Result<uint64_t> ReplicaLogShipper::ReadApplied(int session) {
-  Session& s = *sessions_[session];
-  uint64_t delay_ns = 0;
-  if (auto* inj = sim::GlobalFaultInjector();
-      inj != nullptr &&
-      inj->ShouldFire(sim::fault_sites::kReplAckDelay, &delay_ns)) {
-    sim::Pace(delay_ns);
-    modeled_ns_ += delay_ns;
-  }
-  uint64_t word = 0;
-  auto ns = s.qp.Read(s.r_key, s.base, &word, sizeof(word));
-  if (ns.status().code() == StatusCode::kQpBroken) {
-    modeled_ns_ += s.qp.Reconnect();
-    ns = s.qp.Read(s.r_key, s.base, &word, sizeof(word));
-  }
-  CORM_RETURN_NOT_OK(ns.status());
-  modeled_ns_ += *ns;
-  if (word > s.acked) s.acked = word;
-  return word;
 }
 
 Result<uint64_t> ReplicaLogShipper::ReadAppliedBatch(const int* sessions,
@@ -195,21 +165,6 @@ Status ReplicaLogShipper::Retransmit(int session) {
     CORM_RETURN_NOT_OK(WriteSlot(s, seq));
   }
   return Status::OK();
-}
-
-Status ReplicaLogShipper::AwaitApplied(int session, uint64_t seq,
-                                       const Deadline& deadline) {
-  int polls = 0;
-  while (!deadline.Expired()) {
-    auto applied = ReadApplied(session);
-    CORM_RETURN_NOT_OK(applied.status());
-    if (*applied >= seq) return Status::OK();
-    if (++polls % kRetransmitEvery == 0) {
-      CORM_RETURN_NOT_OK(Retransmit(session));
-    }
-    sim::Pace(kAckPollGapNs);
-  }
-  return Status::Timeout("replica apply deadline expired");
 }
 
 }  // namespace corm::rdma

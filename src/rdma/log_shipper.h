@@ -7,9 +7,9 @@
 // image and RDMA-WRITEs it into the next ring slot — a WRITE_WITH_IMM whose
 // immediate names the ring, so the backup wakes the worker that drains it
 // instead of leaving the record to that worker's next poll; the ack is the
-// backup's
-// applied_seq control word, which ReadApplied() fetches with a one-sided
-// READ. Because the staging image survives until the ack covers it,
+// backup's applied_seq control word, which ReadAppliedBatch() fetches with
+// one-sided READs. Because the staging image survives until the ack covers
+// it,
 // Retransmit() can re-write any window of records verbatim — the recovery
 // path for dropped ship writes (fault site repl.ship_drop) and for rings
 // whose memory survived a crash/restart.
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/retry.h"
 #include "common/slice.h"
 #include "rdma/queue_pair.h"
 #include "rdma/repl_record.h"
@@ -46,13 +45,10 @@ class ReplicaLogShipper {
   int AddSession(Rnic* remote_rnic, sim::VAddr ring_base, RKey r_key,
                  uint32_t slots, uint32_t slot_bytes, uint32_t imm);
 
-  size_t num_sessions() const { return sessions_.size(); }
   // Usable record-payload bytes per slot for `session`.
   uint32_t capacity(int session) const;
   // Last remotely-applied sequence this shipper has observed.
   uint64_t acked(int session) const;
-  // Next sequence Ship() will assign.
-  uint64_t next_seq(int session) const;
 
   // Ships one record: assigns the session's next sequence, stages the wire
   // image, and RDMA-writes it into the ring slot. Returns the assigned
@@ -63,28 +59,19 @@ class ReplicaLogShipper {
                         uint64_t version, const uint8_t addr[16],
                         Slice payload);
 
-  // One-sided read of the replica's applied_seq control word; also advances
-  // the session's local ack cursor. Fault site repl.ack_delay paces extra
-  // modeled time before the read completes.
-  Result<uint64_t> ReadApplied(int session);
-
-  // Coalesced ack poll: reads the applied_seq word of every listed session
-  // in chained posts over the sessions' shared completion queue, paying one
+  // Ack poll: reads the applied_seq word of every listed session in
+  // chained posts over the sessions' shared completion queue, paying one
   // doorbell + one completion per chain instead of a full round trip per
-  // replica (DESIGN.md §12). Each session's ack cursor advances exactly as
-  // ReadApplied would. A QP found broken is reconnected before the chain;
-  // one broken *mid-chain* simply misses this round and is retried by the
-  // caller's next poll. Returns the modeled ns charged for the whole call.
+  // replica (DESIGN.md §12), and advances each session's ack cursor. Fault
+  // site repl.ack_delay paces extra modeled time per read. A QP found
+  // broken is reconnected before the chain; one broken *mid-chain* simply
+  // misses this round and is read again by the caller's next poll. Returns
+  // the modeled ns charged for the whole call. The one ack wait that polls
+  // it lives in dsm/replication.cc (ReplicatedContext::AwaitAcks).
   Result<uint64_t> ReadAppliedBatch(const int* sessions, size_t n);
 
   // Re-writes every staged record in (acked, next) verbatim.
   Status Retransmit(int session);
-
-  // Polls ReadApplied (retransmitting periodically) until the replica has
-  // applied `seq` or the deadline expires. Single-session helper for tests
-  // and the seal path; Write()'s quorum loop in dsm/replication.cc polls
-  // sessions round-robin itself.
-  Status AwaitApplied(int session, uint64_t seq, const Deadline& deadline);
 
   // Modeled fabric nanoseconds consumed by this shipper so far (ship +
   // ack reads + retransmits). The replication bench diffs this across an

@@ -53,8 +53,6 @@ RpcMessage* RpcMessagePool::Acquire() {
     // Cold path: pool empty (warm-up).
     msg = new RpcMessage();  // NOLINT(corm-raw-new)
   }
-  // Two references: the calling client's and the serving node's.
-  msg->refs_.store(2, std::memory_order_relaxed);
   return msg;
 }
 
@@ -62,10 +60,10 @@ size_t RpcMessagePool::LocalFreeForTesting() {
   return LocalFreeList().items.size();
 }
 
-void RpcMessagePool::Recycle(RpcMessage* msg) {
+void RpcMessagePool::Release(RpcMessage* msg) {
   MessageFreeList& list = LocalFreeList();
   if (list.items.size() >= kMaxPerThread) {
-    delete msg;  // NOLINT(corm-raw-new) refcount 0: sole owner
+    delete msg;  // NOLINT(corm-raw-new) the caller is the sole owner
     return;
   }
   // Reset for reuse; clear() keeps the buffers' capacity, which is the
@@ -76,25 +74,28 @@ void RpcMessagePool::Recycle(RpcMessage* msg) {
   msg->server_extra_ns = 0;
   // Relaxed is enough: the next use publishes the message to the server
   // through the queue's release/acquire hand-off, which orders this store.
-  msg->done.store(false, std::memory_order_relaxed);
+  msg->state_.store(RpcMessage::State::kPending, std::memory_order_relaxed);
   // Freelist shelf: growth is bounded by the in-flight high-water mark and
   // amortizes to zero in steady state. NOLINT(corm-hotpath-alloc)
   list.items.push_back(msg);
 }
 
-RpcMessage* RpcMessage::New() { return RpcMessagePool::Acquire(); }
-
-// Escape: refcounted teardown — exclusive ownership of *this is proven by
-// the acq_rel fetch_sub observing 1 (every other holder already released),
-// a protocol the analyzer cannot express as a capability.
-void RpcMessage::Unref() NO_THREAD_SAFETY_ANALYSIS {
-  if (refs_.load(std::memory_order_relaxed) == 0) return;  // stack-owned
-  if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // The last reference recycles into *this* thread's freelist: the
-    // worker's when the client abandoned on timeout, else whichever side
-    // dropped its reference second (see RpcMessagePool).
-    RpcMessagePool::Recycle(this);
+// Escape: hand-off teardown — exclusive ownership of *this is proven by the
+// acq_rel exchange observing kAbandoned (the client has let go), a protocol
+// the analyzer cannot express as a capability.
+void RpcMessage::Complete(Status st) NO_THREAD_SAFETY_ANALYSIS {
+  status = std::move(st);
+  if (state_.exchange(State::kDone, std::memory_order_acq_rel) ==
+      State::kAbandoned) {
+    RpcMessagePool::Release(this);  // on the worker's freelist
   }
+}
+
+bool RpcMessage::Abandon() {
+  State expected = State::kPending;
+  return state_.compare_exchange_strong(expected, State::kAbandoned,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_acquire);
 }
 
 // ---------------------------------------------------------------------------
@@ -235,9 +236,8 @@ Status RpcClient::CallPooled(RpcMessage** inout_msg, int ring_hint,
     }
   }
   if (!delivered) {
-    // The server will never see this message: release its reference too.
-    msg->Unref();
-    msg->Unref();
+    // The server never saw this message: the client still owns it.
+    RpcMessagePool::Release(msg);
     *inout_msg = nullptr;
     return Status::Timeout("rpc request not delivered");
   }
@@ -247,28 +247,22 @@ Status RpcClient::CallPooled(RpcMessage** inout_msg, int ring_hint,
   // Deliberately CpuRelax (pause + yield), not the sleep ladder: on an
   // oversubscribed host the serving worker needs this core, and a sleeping
   // client would add 50 us to every RPC.
-  bool completed = false;
-  for (uint32_t spins = 0;; ++spins) {
-    if (msg->done.load(std::memory_order_acquire)) {
-      completed = true;
-      break;
+  for (uint32_t spins = 0; !msg->done(); ++spins) {
+    // Abandon the in-flight call: the server recycles the message whenever
+    // (if ever) it completes the request. A completion that beat the
+    // abandon leaves the message with the client, as on a normal round.
+    if ((spins & 0x3ff) == 0x3ff && deadline.Expired() && msg->Abandon()) {
+      *inout_msg = nullptr;
+      return Status::Timeout("rpc completion deadline expired");
     }
-    if ((spins & 0x3ff) == 0x3ff && deadline.Expired()) break;
     CpuRelax();
-  }
-  if (!completed) {
-    // Abandon the in-flight call: the server still holds its reference and
-    // settles the memory whenever (if ever) it completes the request.
-    msg->Unref();
-    *inout_msg = nullptr;
-    return Status::Timeout("rpc completion deadline expired");
   }
 
   // The completion (response packet) itself can be lost: the server
   // applied the operation but the client cannot know — classic at-least-
   // once ambiguity, surfaced as kTimeout.
   if (fi != nullptr && fi->ShouldFire(sim::fault_sites::kRpcDropResponse)) {
-    msg->Unref();
+    RpcMessagePool::Release(msg);
     *inout_msg = nullptr;
     return Status::Timeout("rpc response lost");
   }
@@ -288,25 +282,9 @@ Status RpcClient::CallPooled(RpcMessage** inout_msg, int ring_hint,
     sim::Pace(resp_leg);
     wire->network_ns += resp_leg;
   }
-  // The caller still owns its reference: decode msg->response in place,
-  // then Unref.
+  // The caller owns the message: decode msg->response in place, then
+  // Release it.
   return msg->status;
-}
-
-RpcCallResult RpcClient::Call(Buffer request, int ring_hint) {
-  RpcMessage* msg = RpcMessagePool::Acquire();
-  msg->request = std::move(request);
-  RpcWireStats wire;
-  RpcCallResult out;
-  out.status = CallPooled(&msg, ring_hint, &wire);
-  out.network_ns = wire.network_ns;
-  out.server_extra_ns = wire.server_extra_ns;
-  out.dup_completion = wire.dup_completion;
-  if (msg != nullptr) {
-    out.response = std::move(msg->response);
-    msg->Unref();
-  }
-  return out;
 }
 
 }  // namespace corm::rdma

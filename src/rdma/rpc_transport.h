@@ -12,14 +12,13 @@
 // RDMA client polling its CQ — but the spin is *bounded* by a RetryPolicy
 // deadline: when the serving node dies mid-request the call returns
 // kTimeout instead of hanging, and the abandoned message's lifetime is
-// settled by its intrusive refcount (the server still holds a reference and
-// releases it whenever it completes).
+// settled by its state word (the server recycles it whenever it completes).
 //
 // Messages come from a per-thread freelist (RpcMessagePool) so the
-// steady-state data plane performs no heap allocation: whichever thread
-// drops the last reference recycles the message into its own freelist, and
-// the next Acquire on that thread reuses it, request/response buffers
-// keeping their capacity. See DESIGN.md §7 for the pooling lifetimes.
+// steady-state data plane performs no heap allocation: a client recycles
+// the message it waited for into its own freelist, and its next Acquire
+// reuses it, request/response buffers keeping their capacity. See DESIGN.md
+// §7.2 for the pooling lifetimes.
 
 #ifndef CORM_RDMA_RPC_TRANSPORT_H_
 #define CORM_RDMA_RPC_TRANSPORT_H_
@@ -39,16 +38,13 @@
 
 namespace corm::rdma {
 
-// One in-flight RPC. The server fills response/status and sets done last
+// One in-flight RPC. The server fills response/status and completes it
 // (release), which the spinning client observes (acquire).
 //
-// Lifetime: a message created with New() carries two references — the
-// client's and the server's — because a timed-out client abandons the
-// message while the server may still be about to complete it. Whoever
-// drops the last reference returns it to the pool (or frees it when
-// pooling is off). Stack-allocated messages (tests, tools that complete
-// synchronously) start at refcount 0, where Unref is a no-op and the
-// owner's scope controls the lifetime as before.
+// Lifetime: one atomic state word, pending -> done (the server completed)
+// or pending -> abandoned (the client timed out). Whichever side makes the
+// second move owns the message: after done the client recycles it; after
+// abandoned the server's Complete does.
 struct RpcMessage {
   Buffer request;
   Buffer response;
@@ -57,45 +53,47 @@ struct RpcMessage {
   // paper's "+0.5 us for Alloc/Free" style extras); lets clients account
   // full modeled operation latency without a wall clock.
   uint64_t server_extra_ns = 0;
-  std::atomic<bool> done{false};
 
-  // Heap/pool factory for transport use: returns a message holding one
-  // client and one server reference (alias of RpcMessagePool::Acquire).
-  static RpcMessage* New();
-  // Drops one reference; recycles the message when the last one goes.
-  void Unref();
+  // Server side: publishes `st` and completes the call. Recycles the
+  // message on this thread when the client had abandoned it; otherwise the
+  // client owns it from here and the server must not touch it again.
+  void Complete(Status st);
+  // Client side: true once the server completed (acquire).
+  bool done() const {
+    return state_.load(std::memory_order_acquire) == State::kDone;
+  }
+  // Client side, on timeout: hands the in-flight message to the server,
+  // whose Complete recycles it. False when the server completed first —
+  // the client still owns the message.
+  bool Abandon();
 
  private:
   friend class RpcMessagePool;
-  std::atomic<int> refs_{0};  // 0 = stack-owned, Unref is a no-op
+  enum class State : uint8_t { kPending, kDone, kAbandoned };
+  std::atomic<State> state_{State::kPending};
 };
 
-// Per-thread freelist of RpcMessage objects. The thread that drops the last
-// reference recycles the message into its own freelist. The server's
-// Complete stores `done` before its Unref, so on the normal path the client
-// can see `done`, read the response and Unref before the server's Unref
-// lands: either side may be last. When the client is last, the message
-// recycles into the *client's* freelist and the next call on that thread
-// reuses the same message and buffer capacity. When the server is last (on
-// every abandoned timeout, and on a normal round it loses), the message
-// recycles into the worker's freelist (bounded; workers never acquire, so
+// Per-thread freelist of RpcMessage objects. A client Acquires a message,
+// and after a completed round (or one the server never saw) Releases it
+// into its own freelist, so the next call on that thread reuses the same
+// message and buffer capacity. Only an abandoned message recycles on the
+// worker thread that completes it (bounded; workers never acquire, so
 // those entries persist until further recycles overflow the cap and
 // delete).
 class RpcMessagePool {
  public:
-  // A message with refs == 2 (client + server), fields reset, buffers
-  // retaining any recycled capacity.
+  // A pending message, fields reset, buffers retaining any recycled
+  // capacity.
   static RpcMessage* Acquire();
+  // Resets and shelves `msg` on the calling thread's freelist, or deletes
+  // it when the freelist is full. The caller must own `msg`.
+  static void Release(RpcMessage* msg);
 
   // Entries on the calling thread's freelist (tests).
   static size_t LocalFreeForTesting();
 
  private:
-  friend struct RpcMessage;
   static constexpr size_t kMaxPerThread = 64;
-  // Called by the final Unref. Resets and shelves `msg`, or deletes it
-  // when the pool is full.
-  static void Recycle(RpcMessage* msg);
 };
 
 // Token-style rate limiter modeling the RNIC's two-sided message rate: the
@@ -182,18 +180,6 @@ struct RpcWireStats {
   bool dup_completion = false;   // an injected duplicate completion arrived
 };
 
-// Everything a completed (or failed) legacy-path call reports back.
-struct RpcCallResult {
-  // Server-set status; kTimeout when the transport gave up first (request
-  // undeliverable, completion never observed, or response lost) — in that
-  // case the server may or may not have applied the operation.
-  Status status;
-  Buffer response;
-  uint64_t network_ns = 0;
-  uint64_t server_extra_ns = 0;
-  bool dup_completion = false;
-};
-
 // Client-side RPC endpoint: pushes requests into a remote RpcQueue and
 // spins for the completion — bounded by `policy.deadline_ns` — pacing the
 // modeled network time of both legs. Consults the global fault injector at
@@ -207,14 +193,10 @@ class RpcClient {
   // Zero-copy pooled call: `*msg` (from RpcMessagePool::Acquire, request
   // encoded in place) is sent and, on any status where the message is still
   // owned by the caller, returned with the response in msg->response — the
-  // caller decodes in place and Unrefs. On timeout-class failures the
-  // transport has already released the caller's reference(s) and nulls
+  // caller decodes in place and Releases it. On timeout-class failures the
+  // transport has already released or abandoned the message and nulls
   // `*msg`; the caller must not touch it.
   Status CallPooled(RpcMessage** msg, int ring_hint, RpcWireStats* wire);
-
-  // Legacy synchronous call (copies the response out); never blocks past
-  // the policy deadline.
-  RpcCallResult Call(Buffer request, int ring_hint = -1);
 
   const sim::LatencyModel& model() const { return model_; }
   const RetryPolicy& retry_policy() const { return policy_; }

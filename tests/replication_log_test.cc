@@ -276,6 +276,40 @@ TEST(ReplLogTest, FailoverRefusesWhenCommittedStateIsUnreachable) {
   EXPECT_EQ(rctx.Failover(&*addr).code(), StatusCode::kTimeout);
 }
 
+TEST(ReplLogTest, FailoverReconcilesLaggingLiveBackup) {
+  Cluster cluster(SmallCluster(3));
+  ReplicatedContext rctx(&cluster, 3);
+  auto addr = rctx.Alloc(48);
+  ASSERT_TRUE(addr.ok());
+  std::vector<uint8_t> in(48), out(48);
+  PatternFill(1, in.data(), 48);
+  ASSERT_TRUE(rctx.Write(&*addr, in.data(), 48).ok());
+
+  // Backup B misses an acked write while it is down, then comes back live
+  // but lagging.
+  const int lagging = NodeOf(addr->replicas[1]);
+  const int other = NodeOf(addr->replicas[2]);
+  cluster.CrashNode(lagging);
+  PatternFill(2, in.data(), 48);
+  ASSERT_TRUE(rctx.Write(&*addr, in.data(), 48).ok());
+  ASSERT_EQ(rctx.degraded_writes(), 1u);
+  cluster.RestartNode(lagging);
+  cluster.Heartbeat();
+
+  // The primary dies. Failover (what the next Write runs first) promotes
+  // B and must reship the degraded write to it: a following write would
+  // overwrite B anyway and hide whether the reconcile did.
+  cluster.CrashNode(NodeOf(addr->primary()));
+  ASSERT_TRUE(rctx.Failover(&*addr).ok());
+  ASSERT_EQ(NodeOf(addr->primary()), lagging);
+  EXPECT_EQ(addr->committed, 2u);
+
+  // With the other backup gone too, B alone serves the read.
+  cluster.CrashNode(other);
+  ASSERT_TRUE(rctx.Read(&*addr, out.data(), 48).ok());
+  EXPECT_TRUE(PatternCheck(2, out.data(), 48));
+}
+
 // --- Anti-entropy -----------------------------------------------------------
 
 TEST(ReplLogTest, AntiEntropyRepairsDegradedReplica) {

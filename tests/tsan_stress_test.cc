@@ -125,22 +125,23 @@ TEST(TsanStressTest, AllocFreeChurnWithConcurrentCompaction) {
   EXPECT_EQ(LockRankTracker::Depth(), 0);
 }
 
-// The message pool's two recycle paths racing (DESIGN.md §7.2): whichever
-// thread drops the last reference recycles the message into its own
-// freelist. The server publishes `done` before its Unref, so even on the
-// normal path either side may be last; on the abandoned path the client
-// Unrefs without waiting (a timeout) while the server is still filling the
-// response. TSan must see the acq_rel refcount as the
-// only thing ordering the loser's field resets against the winner's final
-// accesses — and must see no unsynchronized reuse, because an abandoned
-// message can only re-enter circulation from the thread that shelved it.
+// The message pool's two recycle paths racing (DESIGN.md §7.2): a client
+// that waits for the completion recycles the message on its own thread; one
+// that abandons it (a timeout) hands it to the server, whose Complete
+// recycles it on the server thread — possibly while the client is already
+// acquiring the next message. TSan must see the acq_rel state word as the
+// only thing ordering the server's final accesses against the client's
+// reuse, and must see no unsynchronized reuse, because an abandoned message
+// can only re-enter circulation from the thread that shelved it. After
+// every waited-for round the message is back on the client's freelist, so
+// the steady state allocates nothing.
 TEST(TsanStressTest, MessagePoolRecycleVsAbandonedUnref) {
   constexpr int kRounds = 20'000;
 
   MpmcQueue<rdma::RpcMessage*> ring(1024);
   std::atomic<bool> stop{false};
 
-  // Server: pop, touch the request, write a response, publish, Unref.
+  // Server: pop, touch the request, write a response, complete.
   std::thread server([&] {
     // Run loop bounded by the stop flag. NOLINT(corm-spin-wait)
     while (!stop.load(std::memory_order_acquire)) {
@@ -148,9 +149,7 @@ TEST(TsanStressTest, MessagePoolRecycleVsAbandonedUnref) {
         rdma::RpcMessage* m = *msg;
         ASSERT_FALSE(m->request.empty());
         m->response.assign(m->request.begin(), m->request.end());
-        m->status = Status::OK();
-        m->done.store(true, std::memory_order_release);
-        m->Unref();
+        m->Complete(Status::OK());
       } else {
         std::this_thread::yield();
       }
@@ -159,38 +158,38 @@ TEST(TsanStressTest, MessagePoolRecycleVsAbandonedUnref) {
 
   Rng rng(0xf00d);
   uint64_t abandoned = 0;
+  uint64_t normal = 0;
   for (int i = 0; i < kRounds; ++i) {
     rdma::RpcMessage* msg = rdma::RpcMessagePool::Acquire();
     ASSERT_TRUE(msg->request.empty());   // recycled messages arrive reset
     ASSERT_TRUE(msg->response.empty());
     msg->request.assign(16, static_cast<uint8_t>(i));
     while (!ring.TryPush(msg)) std::this_thread::yield();
-    if (rng.Chance(0.3)) {
-      // Abandon immediately: the server's Unref races ours and whoever is
-      // last recycles on their own thread.
-      msg->Unref();
+    if (rng.Chance(0.3) && msg->Abandon()) {
+      // Abandoned before the server completed: the server recycles it.
       ++abandoned;
-    } else {
-      // Normal path: wait for completion, read the response, then release.
-      // Local server thread cannot die. NOLINT(corm-spin-wait)
-      while (!msg->done.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      ASSERT_EQ(msg->response.size(), 16u);
-      msg->Unref();
+      continue;
+    }
+    // Normal path (or the server won the race to the state word): wait for
+    // completion, read the response, then release on this thread.
+    // Local server thread cannot die. NOLINT(corm-spin-wait)
+    while (!msg->done()) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(msg->response.size(), 16u);
+    rdma::RpcMessagePool::Release(msg);
+    ++normal;
+    if (rdma::RpcMessagePool::LocalFreeForTesting() == 0) {
+      ADD_FAILURE() << "round " << i << ": a waited-for message left the "
+                    << "client's freelist";
+      break;
     }
   }
   stop.store(true, std::memory_order_release);
   server.join();
 
   EXPECT_GT(abandoned, 0u);
-  // The rounds above may all have recycled on the server thread. A message
-  // whose both references drop on this thread lands in this thread's
-  // freelist.
-  rdma::RpcMessage* last = rdma::RpcMessagePool::Acquire();
-  last->Unref();
-  last->Unref();
-  EXPECT_GE(rdma::RpcMessagePool::LocalFreeForTesting(), 1u);
+  EXPECT_GT(normal, 0u);
 }
 
 // Two nodes' compaction planners evaluate the §3.4 probability model at the
