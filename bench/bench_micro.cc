@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "alloc/block.h"
+#include "common/checksum.h"
 #include "common/random.h"
 #include "core/client.h"
 #include "core/corm_node.h"
@@ -60,6 +61,23 @@ void BM_SnapshotConsistent(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SnapshotConsistent)->Arg(64)->Arg(2048)->Arg(8192);
+
+// The data plane's integrity hash over one span. A replicated 64-B write
+// checksums 72 B for its replica image (version + payload) and 144 B for
+// each log record (header + image); 4096 B is about a 4 KiB kChecksum-mode
+// slot's payload region.
+void BM_Checksum(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  std::vector<uint8_t> buf(n);
+  Rng rng(7);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(IntegrityHash(n).Update(buf.data(), n).Finish());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Checksum)->Arg(72)->Arg(144)->Arg(4096);
 
 void BM_HeaderCas(benchmark::State& state) {
   alignas(64) uint8_t slot[64] = {};

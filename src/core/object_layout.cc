@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/checksum.h"
 #include "common/logging.h"
 #include "common/sanitizer.h"
 #include "sim/latency_model.h"
@@ -64,18 +65,17 @@ void ReadPayloadVersions(const uint8_t* slot, uint32_t slot_size,
 
 }  // namespace
 
-uint32_t PayloadChecksum(const uint8_t* slot, uint32_t slot_size) {
-  // FNV-1a over the header version byte + the full payload region, so a
-  // snapshot mixing an old payload with a new header (or vice versa) fails.
-  uint32_t h = 2166136261u;
-  auto mix = [&h](uint8_t byte) {
-    h ^= byte;
-    h *= 16777619u;
-  };
-  mix(LoadVersionByte(slot));  // header version byte
-  const uint32_t capacity = PayloadCapacity(slot_size, ConsistencyMode::kChecksum);
-  for (uint32_t i = 0; i < capacity; ++i) mix(slot[kHeaderSize + i]);
-  return h;
+uint32_t PayloadChecksum(const uint8_t* slot, uint32_t slot_size,
+                         uint8_t version) {
+  // The header version byte, then the full payload region, chained through
+  // one IntegrityHash, so a snapshot mixing an old payload with a new header
+  // (or vice versa) fails.
+  const uint32_t capacity =
+      PayloadCapacity(slot_size, ConsistencyMode::kChecksum);
+  return IntegrityHash(sizeof(version) + capacity)
+      .Update(&version, sizeof(version))
+      .Update(slot + kHeaderSize, capacity)
+      .Finish();
 }
 
 void WritePayload(uint8_t* slot, uint32_t slot_size, uint8_t version,
@@ -96,15 +96,8 @@ void WritePayload(uint8_t* slot, uint32_t slot_size, uint8_t version,
   // which the caller must have staged into slot[0] before or right after
   // this call; we compute over `version` explicitly to avoid the ordering
   // dependency.
-  uint32_t h = 2166136261u;
-  auto mix = [&h](uint8_t byte) {
-    h ^= byte;
-    h *= 16777619u;
-  };
-  mix(version);
-  const uint32_t capacity = PayloadCapacity(slot_size, mode);
-  for (uint32_t i = 0; i < capacity; ++i) mix(slot[kHeaderSize + i]);
-  std::memcpy(slot + ChecksumOffset(slot_size), &h, kChecksumSize);
+  const uint32_t crc = PayloadChecksum(slot, slot_size, version);
+  std::memcpy(slot + ChecksumOffset(slot_size), &crc, kChecksumSize);
   CORM_TSAN_RELEASE(slot);
 }
 
@@ -160,7 +153,7 @@ bool SnapshotConsistent(const uint8_t* slot, uint32_t slot_size,
   }
   uint32_t stored;
   std::memcpy(&stored, slot + ChecksumOffset(slot_size), kChecksumSize);
-  if (stored != PayloadChecksum(slot, slot_size)) return false;
+  if (stored != PayloadChecksum(slot, slot_size, h.version)) return false;
   CORM_TSAN_ACQUIRE(slot);
   return true;
 }
@@ -188,7 +181,7 @@ Status AuditSlotConsistency(const uint8_t* slot, uint32_t slot_size,
   }
   uint32_t stored;
   std::memcpy(&stored, slot + ChecksumOffset(slot_size), kChecksumSize);
-  if (stored != PayloadChecksum(slot, slot_size)) {
+  if (stored != PayloadChecksum(slot, slot_size, h.version)) {
     return Status::Internal("audit: payload checksum mismatch");
   }
   return Status::OK();

@@ -316,9 +316,13 @@ bool SnapshotConsistent(
     const uint8_t* slot, uint32_t slot_size,
     ConsistencyMode mode = ConsistencyMode::kCachelineVersions);
 
-// FNV-1a over the payload region and the header version byte (internal,
-// exposed for tests).
-uint32_t PayloadChecksum(const uint8_t* slot, uint32_t slot_size);
+// kChecksum-mode slot checksum: one IntegrityHash (common/checksum.h) over
+// `version` (the header version byte) chained with the whole payload
+// region, folded to the stored 32 bits. A change confined to one 8-byte
+// word of the region always changes the 64-bit hash state, so only the
+// 32-bit fold can collide (~2^-32). Internal, exposed for tests.
+uint32_t PayloadChecksum(const uint8_t* slot, uint32_t slot_size,
+                         uint8_t version);
 
 // --- Invariant audits (always compiled; hot-path hooks are CORM_AUDIT). ---
 

@@ -135,8 +135,7 @@ uint64_t ReplicatedContext::AwaitAcks(Stack& s, const ReplicatedAddr& addr,
   size_t open = waits.size();
   int round = 0;
   uint64_t ack_ns = 0;
-  std::vector<int> poll_sessions;
-  poll_sessions.reserve(waits.size());
+  std::vector<int>& poll_sessions = s.poll_sessions;
   while (open > 0 && !deadline.Expired()) {
     poll_sessions.clear();
     for (AckWait& w : waits) {
@@ -261,8 +260,8 @@ Status ReplicatedContext::Write(ReplicatedAddr* addr, const void* buf,
   BuildImage(&stack_.image, addr->epoch, version, buf, size);
   core::NodeStatShard& shard = PrimaryShard(*addr);
 
-  std::vector<AckWait> waits;
-  waits.reserve(addr->replicas.size());
+  std::vector<AckWait>& waits = stack_.waits;
+  waits.clear();
   bool any_durable = false;
   bool degraded = false;
 

@@ -158,20 +158,6 @@ class ReplicatedContext {
   DsmContext* dsm() { return &stack_.dsm; }
 
  private:
-  // One client stack: a DsmContext, the log shipper with its per-node
-  // session table, and the image buffers. Both are single-threaded
-  // handles, so the owner thread has one and the anti-entropy sweep builds
-  // its own.
-  struct Stack {
-    Stack(Cluster* cluster, const core::Context::Options& options)
-        : dsm(cluster, options), session_for_node(cluster->num_nodes(), -1) {}
-    DsmContext dsm;
-    rdma::ReplicaLogShipper shipper;
-    std::vector<int> session_for_node;
-    Buffer image;  // the image being shipped
-    Buffer read;   // the replica image last read
-  };
-
   // One record a replica must apply before its caller goes on.
   struct AckWait {
     enum class State : uint8_t { kOpen, kAcked, kDropped };
@@ -180,6 +166,22 @@ class ReplicatedContext {
     uint64_t seq = 0;      // 0 = RPC fallback, durable when shipped
     uint64_t ship_ns = 0;  // modeled cost of this replica's record write
     State state = State::kOpen;
+  };
+
+  // One client stack: a DsmContext, the log shipper with its per-node
+  // session table, the image buffers and the write path's ack scratch.
+  // Both are single-threaded handles, so the owner thread has one and the
+  // anti-entropy sweep builds its own.
+  struct Stack {
+    Stack(Cluster* cluster, const core::Context::Options& options)
+        : dsm(cluster, options), session_for_node(cluster->num_nodes(), -1) {}
+    DsmContext dsm;
+    rdma::ReplicaLogShipper shipper;
+    std::vector<int> session_for_node;
+    Buffer image;  // the image being shipped
+    Buffer read;   // the replica image last read
+    std::vector<AckWait> waits;      // Write's records awaiting acks
+    std::vector<int> poll_sessions;  // AwaitAcks' per-round poll set
   };
 
   // What one convergence pass over a replica set read and did.

@@ -4,11 +4,11 @@
 // backup's ingress ring (a ReplLogRing, rdma/repl_log_ring.h). The
 // record is self-describing and self-validating: a magic word, the shipper's
 // epoch and sequence number, the object version, the target address as
-// opaque bytes (this layer must not depend on core/), and an FNV-1a
-// checksum over header + payload. A backup only applies a record whose
-// checksum validates AND whose sequence is exactly applied+1 — so torn or
-// reordered one-sided writes are indistinguishable from "not arrived yet"
-// and the shipper's retransmit path fills the gap.
+// opaque bytes (this layer must not depend on core/), and an integrity
+// checksum (common/checksum.h) over header + payload. A backup only
+// applies a record whose checksum validates AND whose sequence is exactly
+// applied+1 — so torn or reordered one-sided writes are indistinguishable
+// from "not arrived yet" and the shipper's retransmit path fills the gap.
 //
 // The record payload for a data record is the object's full replicated
 // image: a ReplObjectHeader followed by the user payload. Replicas store
@@ -24,6 +24,8 @@
 #include <cstring>
 #include <type_traits>
 
+#include "common/checksum.h"
+
 namespace corm::rdma {
 
 // Record kinds. A seal record carries no user payload: it instructs the
@@ -32,19 +34,6 @@ inline constexpr uint8_t kReplRecordData = 1;
 inline constexpr uint8_t kReplRecordSeal = 2;
 
 inline constexpr uint32_t kReplRecordMagic = 0x4C504552u;  // "REPL"
-
-// FNV-1a, the same idiom object_layout.cc uses for payload checksums. Seeded
-// so multi-span checksums chain: crc = ReplFnv1a(b, n, ReplFnv1a(a, m)).
-inline uint32_t ReplFnv1a(const void* data, size_t n,
-                          uint32_t seed = 2166136261u) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint32_t h = seed;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 16777619u;
-  }
-  return h;
-}
 
 // The fixed prefix of every slot in a ReplLogRing. 56 bytes, explicitly
 // padded, trivially copyable — it crosses the (simulated) wire as raw bytes.
@@ -57,7 +46,7 @@ struct ReplRecordHeader {
   uint32_t payload_len = 0;
   uint8_t kind = 0;        // kReplRecordData | kReplRecordSeal
   uint8_t pad[3] = {};
-  uint32_t crc = 0;        // FNV-1a over header (crc field zeroed) + payload
+  uint32_t crc = 0;        // IntegrityHash over header (crc zeroed) + payload
   uint32_t pad2 = 0;       // keeps sizeof a multiple of the u64 alignment
 };
 static_assert(sizeof(ReplRecordHeader) == 56, "record header is wire format");
@@ -65,14 +54,15 @@ static_assert(std::is_trivially_copyable_v<ReplRecordHeader>,
               "record header crosses the wire as raw bytes");
 
 // Computes the record checksum: header with its crc field zeroed, then the
-// payload bytes.
+// payload bytes, chained through one IntegrityHash.
 inline uint32_t ReplRecordCrc(const ReplRecordHeader& h, const void* payload,
                               size_t payload_len) {
   ReplRecordHeader tmp = h;
   tmp.crc = 0;
-  uint32_t crc = ReplFnv1a(&tmp, sizeof(tmp));
-  if (payload_len != 0) crc = ReplFnv1a(payload, payload_len, crc);
-  return crc;
+  return IntegrityHash(sizeof(tmp) + payload_len)
+      .Update(&tmp, sizeof(tmp))
+      .Update(payload, payload_len)
+      .Finish();
 }
 
 // The stored prefix of every replicated object image. Readers validate a
@@ -81,7 +71,7 @@ inline uint32_t ReplRecordCrc(const ReplRecordHeader& h, const void* payload,
 // the stored epoch without recomputing payload checksums it cannot see.
 struct ReplObjectHeader {
   uint32_t epoch = 0;    // epoch that last wrote or sealed this copy
-  uint32_t crc = 0;      // FNV-1a over (version, user payload[len])
+  uint32_t crc = 0;      // IntegrityHash over (version, user payload[len])
   uint64_t version = 0;  // monotone per-object write version
   uint32_t len = 0;      // user payload bytes following this header
   uint32_t pad = 0;
@@ -92,9 +82,10 @@ static_assert(std::is_trivially_copyable_v<ReplObjectHeader>,
 
 inline uint32_t ReplObjectCrc(uint64_t version, const void* payload,
                               size_t len) {
-  uint32_t crc = ReplFnv1a(&version, sizeof(version));
-  if (len != 0) crc = ReplFnv1a(payload, len, crc);
-  return crc;
+  return IntegrityHash(sizeof(version) + len)
+      .Update(&version, sizeof(version))
+      .Update(payload, len)
+      .Finish();
 }
 
 // True when `h` + the `len` payload bytes that follow it form a

@@ -1,14 +1,16 @@
 // Unit tests for src/common: Status/Result, Rng, Zipf, Histogram,
-// MpmcQueue, math utilities.
+// MpmcQueue, math utilities, the integrity hash.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "common/byte_units.h"
+#include "common/checksum.h"
 #include "common/histogram.h"
 #include "common/math_util.h"
 #include "common/mpmc_queue.h"
@@ -244,6 +246,104 @@ TEST(SliceTest, BasicsAndEquality) {
   EXPECT_FALSE(a == c);
   EXPECT_EQ(a.ToString(), "hello");
   EXPECT_TRUE(Slice().empty());
+}
+
+
+// --- Integrity hash ---------------------------------------------------------
+
+// Deterministic pseudo-random bytes. The property tests use 144 of them:
+// the log record a replicated 64-B write ships.
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> out(n);
+  for (auto& b : out) b = static_cast<uint8_t>(rng.Next());
+  return out;
+}
+
+// The one-span form: `n` bytes seeded with n.
+uint32_t Checksum32(const void* data, size_t n) {
+  return IntegrityHash(n).Update(data, n).Finish();
+}
+
+TEST(IntegrityHashTest, EverySingleByteChangeChangesTheRecordChecksum) {
+  std::vector<uint8_t> rec = RandomBytes(144, 1);
+  const uint32_t base = Checksum32(rec.data(), rec.size());
+  size_t collisions = 0;
+  for (size_t i = 0; i < rec.size(); ++i) {
+    const uint8_t orig = rec[i];
+    for (int delta = 1; delta < 256; ++delta) {
+      rec[i] = static_cast<uint8_t>(orig ^ delta);
+      collisions += Checksum32(rec.data(), rec.size()) == base;
+    }
+    rec[i] = orig;
+  }
+  EXPECT_EQ(collisions, 0u);
+}
+
+TEST(IntegrityHashTest, EverySingleWordSubstitutionChangesTheRecordChecksum) {
+  std::vector<uint8_t> rec = RandomBytes(144, 2);
+  const uint32_t base = Checksum32(rec.data(), rec.size());
+  Rng rng(3);
+  size_t collisions = 0;
+  for (size_t w = 0; w < rec.size() / 8; ++w) {
+    uint64_t orig;
+    std::memcpy(&orig, rec.data() + 8 * w, 8);
+    // Structured substitutes (cleared, filled, one bit or byte off) plus
+    // random ones.
+    std::vector<uint64_t> subs = {0, ~uint64_t{0}, orig ^ 1,
+                                  orig ^ (uint64_t{1} << 63),
+                                  orig ^ 0xff00000000000000ull, ~orig};
+    for (int k = 0; k < 2048; ++k) subs.push_back(rng.Next());
+    for (uint64_t sub : subs) {
+      if (sub == orig) continue;
+      std::memcpy(rec.data() + 8 * w, &sub, 8);
+      collisions += Checksum32(rec.data(), rec.size()) == base;
+    }
+    std::memcpy(rec.data() + 8 * w, &orig, 8);
+  }
+  EXPECT_EQ(collisions, 0u);
+}
+
+TEST(IntegrityHashTest, LengthAndSeedBothMatter) {
+  // Zero padding makes "x" and "x\0..." identical words; the length seed
+  // keeps them apart.
+  const std::vector<uint8_t> zeros(32, 0);
+  std::set<uint32_t> seen;
+  for (size_t n = 0; n <= zeros.size(); ++n) {
+    seen.insert(Checksum32(zeros.data(), n));
+  }
+  EXPECT_EQ(seen.size(), zeros.size() + 1);
+  // The same bytes under a different seed hash differently.
+  const std::vector<uint8_t> rec = RandomBytes(144, 4);
+  const uint32_t one = Checksum32(rec.data(), rec.size());
+  EXPECT_NE(one, IntegrityHash(145).Update(rec.data(), 144).Finish());
+  EXPECT_NE(one, IntegrityHash(0).Update(rec.data(), 144).Finish());
+}
+
+TEST(IntegrityHashTest, ChainedSpansEqualTheZeroPaddedOneSpanForm) {
+  const std::vector<uint8_t> a = RandomBytes(24, 5);
+  const std::vector<uint8_t> b = RandomBytes(24, 6);
+  for (size_t m = 0; m <= a.size(); ++m) {
+    for (size_t n = 0; n <= b.size(); ++n) {
+      const uint32_t chained =
+          IntegrityHash(m + n).Update(a.data(), m).Update(b.data(), n).Finish();
+      // Documented form: each span is zero-padded to a whole word.
+      const size_t pad = (8 - m % 8) % 8;
+      std::vector<uint8_t> padded(a.begin(), a.begin() + m);
+      padded.resize(m + pad, 0);
+      padded.insert(padded.end(), b.begin(), b.begin() + n);
+      EXPECT_EQ(chained, IntegrityHash(m + n)
+                             .Update(padded.data(), padded.size())
+                             .Finish())
+          << "m=" << m << " n=" << n;
+      // So it equals the one-span hash of a ‖ b exactly when no padding
+      // falls between them.
+      std::vector<uint8_t> joined(a.begin(), a.begin() + m);
+      joined.insert(joined.end(), b.begin(), b.begin() + n);
+      const bool same = chained == Checksum32(joined.data(), joined.size());
+      EXPECT_EQ(same, pad == 0 || n == 0) << "m=" << m << " n=" << n;
+    }
+  }
 }
 
 }  // namespace

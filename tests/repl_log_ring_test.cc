@@ -24,9 +24,10 @@ class ReplLogRingTest : public ::testing::Test {
 
   // RDMA-writes record `seq` carrying `payload` into its slot, as a
   // primary's shipper does. `corrupt` flips a payload byte after the crc
-  // is sealed, modelling a torn write.
+  // is sealed, modelling a torn write; `header_only` lands just the
+  // record header, modelling a write whose payload bytes have not.
   void Ship(const ReplLogRing& ring, uint64_t seq, const std::string& payload,
-            bool corrupt = false) {
+            bool corrupt = false, bool header_only = false) {
     ReplRecordHeader h;
     h.magic = kReplRecordMagic;
     h.epoch = 1;
@@ -41,7 +42,8 @@ class ReplLogRingTest : public ::testing::Test {
     if (corrupt) wire.back() ^= 0xff;
     const sim::VAddr slot = ring.base() + sim::kVPageSize +
                             ((seq - 1) % ring.slots()) * ring.slot_bytes();
-    ASSERT_TRUE(qp_.Write(ring.r_key(), slot, wire.data(), wire.size()).ok());
+    const size_t len = header_only ? sizeof(h) : wire.size();
+    ASSERT_TRUE(qp_.Write(ring.r_key(), slot, wire.data(), len).ok());
   }
 
   // The payload of the next arrived record, or "<none>".
@@ -107,6 +109,27 @@ TEST_F(ReplLogRingTest, BadCrcReadsAsNotArrived) {
   // The shipper's retransmit of the intact image is then accepted.
   Ship(*ring, 1, "torn in flight");
   EXPECT_EQ(Next(*ring), "torn in flight");
+}
+
+// A slot reused a lap later: the new record's header has landed but its
+// payload bytes have not, so the slot still holds the previous lap's
+// payload of the same length. The record crc covers the payload, so the
+// slot reads as not arrived until the whole record is there.
+TEST_F(ReplLogRingTest, NewHeaderOverPreviousLapPayloadReadsAsNotArrived) {
+  auto ring = ReplLogRing::Create(&space_, &rnic_, 4, 128);
+  ASSERT_TRUE(ring.ok());
+  for (uint64_t s = 1; s <= 4; ++s) {
+    Ship(*ring, s, "lap-one payload " + std::to_string(s));
+    ASSERT_EQ(Next(*ring), "lap-one payload " + std::to_string(s));
+    ring->Advance();
+  }
+  // Seq 5 reuses seq 1's slot with a payload of the same length.
+  Ship(*ring, 5, "lap-two payload 5", /*corrupt=*/false, /*header_only=*/true);
+  EXPECT_EQ(Next(*ring), "<none>");
+  Ship(*ring, 5, "lap-two payload 5");
+  ReplRecordHeader h;
+  EXPECT_EQ(Next(*ring, &h), "lap-two payload 5");
+  EXPECT_EQ(h.seq, 5u);
 }
 
 TEST_F(ReplLogRingTest, SeqOtherThanAppliedPlusOneReadsAsNotArrived) {
