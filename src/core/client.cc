@@ -395,8 +395,7 @@ Status Context::ReadWithRecovery(GlobalAddr* addr, void* buf, size_t size,
   // wall time regardless of the modeled time scale. The jitter stream is
   // seeded from the node seed and a per-context sequence number, so a
   // seeded run replays the same backoff schedule.
-  RetryState retry(options_.recovery_retry,
-                   node_->config().seed ^ (++retry_seq_ * 0x9e3779b97f4a7c15ULL));
+  RetryState retry(options_.recovery_retry, SyncJitterSeed());
   while (retry.NextAttempt()) {
     Status st = DirectRead(*addr, buf, size);
     if (st.ok()) return st;

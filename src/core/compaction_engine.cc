@@ -159,7 +159,7 @@ void CompactionEngine::RunPhaseSlice() {
 void CompactionEngine::StepSelect() {
   ++stats_.compaction_runs;
   const uint32_t class_idx = req_->class_idx;
-  if (!worker_->ClassCompactable(class_idx)) {
+  if (!node_->ClassCompactable(class_idx)) {
     status_ = Status::NotSupported(
         "size class holds more objects than the object-ID space addresses");
     SetPhase(CompactionPhase::kReclaim);  // empty pool: publishes and idles

@@ -278,6 +278,13 @@ Result<uint32_t> CormNode::ClassForPayload(uint32_t payload_size) const {
   return Status::InvalidArgument("object too large for any size class");
 }
 
+bool CormNode::ClassCompactable(uint32_t class_idx) const {
+  const int bits = config_.object_id_bits;
+  if (bits <= 0) return false;
+  const uint64_t slots = block_bytes() / classes_.ClassSize(class_idx);
+  return slots <= (1ULL << bits);
+}
+
 // ---------------------------------------------------------------------------
 // Stats sharding.
 // ---------------------------------------------------------------------------
@@ -291,59 +298,9 @@ NodeStatShard& CormNode::CurrentStatShard() {
 NodeStats CormNode::stats() const {
   NodeStats out;
   stat_shards_.ForEach([&out](const NodeStatShard& s) {
-    out.rpc_allocs += s.rpc_allocs.Load();
-    out.rpc_frees += s.rpc_frees.Load();
-    out.rpc_reads += s.rpc_reads.Load();
-    out.rpc_writes += s.rpc_writes.Load();
-    out.rpc_releases += s.rpc_releases.Load();
-    out.corrections_messaging += s.corrections_messaging.Load();
-    out.corrections_scan += s.corrections_scan.Load();
-    out.forwarded_ops += s.forwarded_ops.Load();
-    out.compaction_runs += s.compaction_runs.Load();
-    out.blocks_compacted += s.blocks_compacted.Load();
-    out.objects_moved += s.objects_moved.Load();
-    out.objects_offset_preserved += s.objects_offset_preserved.Load();
-    out.ghosts_released += s.ghosts_released.Load();
-    out.old_pointer_uses += s.old_pointer_uses.Load();
-    out.id_draw_fallbacks += s.id_draw_fallbacks.Load();
-    out.dir_cache_hits += s.dir_cache_hits.Load();
-    out.dir_cache_misses += s.dir_cache_misses.Load();
-    out.rpc_batches += s.rpc_batches.Load();
-    out.rpc_polled += s.rpc_polled.Load();
-    out.worker_parks += s.worker_parks.Load();
-    out.worker_park_wakes += s.worker_park_wakes.Load();
-    out.worker_park_timeouts += s.worker_park_timeouts.Load();
-    out.compaction_slices += s.compaction_slices.Load();
-    out.compaction_phase_transitions += s.compaction_phase_transitions.Load();
-    out.compaction_planner_rejections +=
-        s.compaction_planner_rejections.Load();
-    out.compaction_bytes_copied += s.compaction_bytes_copied.Load();
-    out.compaction_timeouts += s.compaction_timeouts.Load();
-    out.compaction_bg_runs += s.compaction_bg_runs.Load();
-    out.repl_ship_records += s.repl_ship_records.Load();
-    out.repl_acked_writes += s.repl_acked_writes.Load();
-    out.repl_degraded_writes += s.repl_degraded_writes.Load();
-    out.repl_quorum_timeouts += s.repl_quorum_timeouts.Load();
-    out.repl_failovers += s.repl_failovers.Load();
-    out.repl_seals += s.repl_seals.Load();
-    out.repl_stale_reads += s.repl_stale_reads.Load();
-    out.repl_anti_entropy_repairs += s.repl_anti_entropy_repairs.Load();
-    out.repl_applied_records += s.repl_applied_records.Load();
-    out.repl_fenced_records += s.repl_fenced_records.Load();
-    out.repl_apply_dups += s.repl_apply_dups.Load();
-    out.repl_apply_orphans += s.repl_apply_orphans.Load();
-    out.sync_lock_acquires += s.sync_lock_acquires.Load();
-    out.sync_lock_conflicts += s.sync_lock_conflicts.Load();
-    out.sync_lock_steals += s.sync_lock_steals.Load();
-    out.sync_lock_timeouts += s.sync_lock_timeouts.Load();
-    out.doorbell_batches += s.doorbell_batches.Load();
-    out.doorbell_batched_wrs += s.doorbell_batched_wrs.Load();
-    out.index_lookups += s.index_lookups.Load();
-    out.index_one_sided_hits += s.index_one_sided_hits.Load();
-    out.index_rpc_fallbacks += s.index_rpc_fallbacks.Load();
-    out.index_repairs += s.index_repairs.Load();
-    out.index_fenced_entries += s.index_fenced_entries.Load();
-    out.index_rehomes += s.index_rehomes.Load();
+#define CORM_NODE_STATS_SUM(name) out.name += s.name.Load();
+    CORM_NODE_COUNTERS(CORM_NODE_STATS_SUM)
+#undef CORM_NODE_STATS_SUM
   });
   out.frame_slabs_reclaimed = phys_->reclaimed_slabs();
   out.frame_slabs_retired = phys_->retired_slabs();
@@ -512,12 +469,8 @@ Status CormNode::AuditBlock(const alloc::Block& block) {
   }
 
   // Object IDs are only guaranteed unique (and the ID map maintained) when
-  // the class is compactable — mirror Worker::ClassCompactable.
-  const int bits = config_.object_id_bits;
-  const uint64_t slots_per_block =
-      block_bytes() / classes_.ClassSize(block.class_idx());
-  const bool compactable =
-      bits > 0 && slots_per_block <= (1ULL << bits);
+  // the class is compactable.
+  const bool compactable = ClassCompactable(block.class_idx());
   CORM_RETURN_NOT_OK(block.AuditConsistency(/*expect_ids=*/compactable));
 
   const ConsistencyMode mode = config_.consistency;

@@ -138,137 +138,92 @@ struct CormConfig {
   }
 };
 
+// Every node counter, defined once: each X(name) entry below generates a
+// StatCounter in NodeStatShard, a uint64_t of the same name in NodeStats and
+// its sum term in CormNode::stats(), so the three cannot drift apart. The
+// comment beside an entry says what its increment sites count. Workers bump
+// their own shard; client threads (contexts, replicated contexts, cluster
+// failover) and the background scheduler bump the overflow shard through
+// client_stat_shard().
+#define CORM_NODE_COUNTERS(X)                                                 \
+  /* Worker RPC service and pointer correction (§3.2) */                      \
+  X(rpc_allocs)                    /* Alloc RPCs served */                    \
+  X(rpc_frees)                     /* Free RPCs served */                     \
+  X(rpc_reads)                     /* Read RPCs served */                     \
+  X(rpc_writes)                    /* Write RPCs served */                    \
+  X(rpc_releases)                  /* block-release RPCs served */            \
+  X(corrections_messaging)         /* stale hints sent to the block owner */  \
+  X(corrections_scan)              /* block scans for an object ID */         \
+  X(forwarded_ops)                 /* RPCs forwarded to the block's owner */  \
+  /* Compaction (§3.1; engine in DESIGN.md §9) */                             \
+  X(compaction_runs)               /* runs started, refused ones included */  \
+  X(blocks_compacted)              /* source blocks merged and retired */     \
+  X(objects_moved)                 /* objects copied to a new offset */       \
+  X(objects_offset_preserved)      /* objects copied to the same offset */    \
+  X(compaction_slices)             /* engine slices run */                    \
+  X(compaction_phase_transitions)  /* phase changes across runs */            \
+  X(compaction_planner_rejections) /* planned pairs the exact check killed */ \
+  X(compaction_bytes_copied)       /* payload bytes copied */                 \
+  X(compaction_timeouts)           /* runs aborted on a deadline */           \
+  X(compaction_bg_runs)            /* runs the background scheduler began */  \
+  X(ghosts_released)               /* ghost ranges released (§3.3) */         \
+  /* Worker data plane */                                                     \
+  X(old_pointer_uses)              /* objects resolved via a ghost base */    \
+  X(id_draw_fallbacks)             /* ID draws that fell back to a scan */    \
+  X(dir_cache_hits)                /* worker directory-cache hits */          \
+  X(dir_cache_misses)              /* worker directory-cache misses */        \
+  X(rpc_batches)                   /* ring polls that returned >= 1 RPC */    \
+  X(rpc_polled)                    /* RPCs those polls carried */             \
+  /* Idle parking on the worker's doorbell (DESIGN.md §7.3) */                \
+  X(worker_parks)                  /* doorbell sleeps entered */              \
+  X(worker_park_wakes)             /* sleeps ended by a ring */               \
+  X(worker_park_timeouts)          /* sleeps that ran to the cap */           \
+  /* Replicated log (DESIGN.md §11): ship side on the primary's */            \
+  /* overflow shard, apply side on the worker draining the ring */            \
+  X(repl_ship_records)             /* records written into replica rings */   \
+  X(repl_acked_writes)             /* writes acked, degraded ones included */ \
+  X(repl_degraded_writes)          /* writes that lost a replica */           \
+  X(repl_quorum_timeouts)          /* writes whose quorum never formed */     \
+  X(repl_failovers)                /* primary failovers executed */           \
+  X(repl_seals)                    /* epoch seals shipped by failover */      \
+  X(repl_stale_reads)              /* replica copies rejected on read */      \
+  X(repl_anti_entropy_repairs)     /* replicas the sweep re-shipped */        \
+  X(repl_applied_records)          /* records applied */                      \
+  X(repl_fenced_records)           /* stale-epoch records rejected */         \
+  X(repl_apply_dups)               /* duplicate or old-version records */     \
+  X(repl_apply_orphans)            /* dropped: object freed or too small */   \
+  /* Remote sync and doorbell batching (DESIGN.md §12); overflow shard */     \
+  X(sync_lock_acquires)            /* locks or read admissions obtained */    \
+  X(sync_lock_conflicts)           /* attempts that saw a competing holder */ \
+  X(sync_lock_steals)              /* expired leases whose slot was stolen */ \
+  X(sync_lock_timeouts)            /* acquire retry budgets exhausted */      \
+  X(doorbell_batches)              /* chained posts, one doorbell each */     \
+  X(doorbell_batched_wrs)          /* WRs those chains carried */             \
+  /* Keyed index (DESIGN.md §13) */                                           \
+  X(index_lookups)                 /* keyed ops started (Get/Put/Del) */      \
+  X(index_one_sided_hits)          /* keyed ops resolved without an RPC */    \
+  X(index_rpc_fallbacks)           /* kIndexLookup/kIndexPut RPCs served */   \
+  X(index_repairs)                 /* bucket entries rewritten or unlinked */ \
+  X(index_fenced_entries)          /* live entries fenced by an epoch seal */ \
+  X(index_rehomes)                 /* key ranges taken from a dead node */
+
 // One worker's cacheline-padded block of node counters. Workers only ever
 // touch their own shard (plus an overflow shard for non-worker threads), so
 // data-plane increments never share a cacheline (see sharded_counters.h).
 struct NodeStatShard {
-  StatCounter rpc_allocs;
-  StatCounter rpc_frees;
-  StatCounter rpc_reads;
-  StatCounter rpc_writes;
-  StatCounter rpc_releases;
-  StatCounter corrections_messaging;
-  StatCounter corrections_scan;
-  StatCounter forwarded_ops;
-  StatCounter compaction_runs;
-  StatCounter blocks_compacted;
-  StatCounter objects_moved;
-  StatCounter objects_offset_preserved;
-  // Compaction-engine instrumentation (DESIGN.md §9): all incremented on
-  // the leader's shard from the engine's slices.
-  StatCounter compaction_slices;             // Step() calls that did work
-  StatCounter compaction_phase_transitions;  // phase changes across runs
-  StatCounter compaction_planner_rejections; // plan pairs the exact check killed
-  StatCounter compaction_bytes_copied;       // payload bytes moved
-  StatCounter compaction_timeouts;           // runs aborted on a deadline
-  StatCounter compaction_bg_runs;            // runs the scheduler triggered
-  StatCounter ghosts_released;
-  StatCounter old_pointer_uses;
-  // Data-plane instrumentation (new with the hot-path overhaul).
-  StatCounter id_draw_fallbacks;  // DrawObjectId exhausted its random draws
-  StatCounter dir_cache_hits;
-  StatCounter dir_cache_misses;
-  StatCounter rpc_batches;  // PollBatch calls that returned >= 1 message
-  StatCounter rpc_polled;   // messages those batches carried
-  // Idle parking (DESIGN.md §7.3): sleeps on the worker's doorbell, split
-  // by what ended them. With every producer ringing, timeouts stay near
-  // zero under load; an idle worker times out once per park cap.
-  StatCounter worker_parks;          // doorbell sleeps entered
-  StatCounter worker_park_wakes;     // sleeps ended by a ring
-  StatCounter worker_park_timeouts;  // sleeps that ran to the cap
-  // Replicated-log instrumentation (DESIGN.md §11). Ship-side counters are
-  // incremented from the client thread driving a ReplicatedContext (they
-  // land on the primary node's overflow shard via client_stat_shard());
-  // apply-side counters are incremented by the worker draining the ring.
-  StatCounter repl_ship_records;        // records RDMA-written into rings
-  StatCounter repl_acked_writes;        // writes acked by a full quorum
-  StatCounter repl_degraded_writes;     // writes that skipped a dead replica
-  StatCounter repl_quorum_timeouts;     // writes whose quorum never formed
-  StatCounter repl_failovers;           // primary failovers executed
-  StatCounter repl_seals;               // epoch seals shipped by failover
-  StatCounter repl_stale_reads;         // replica copies rejected on read
-  StatCounter repl_anti_entropy_repairs;  // objects the sweep re-replicated
-  StatCounter repl_applied_records;     // records durably applied
-  StatCounter repl_fenced_records;      // stale-epoch records rejected
-  StatCounter repl_apply_dups;          // duplicate/old-version records
-  StatCounter repl_apply_orphans;       // records whose object is gone
-  // Remote-synchronization + doorbell-batching instrumentation (DESIGN.md
-  // §12). Incremented from the client threads driving contexts against this
-  // node, so they land on the overflow shard via client_stat_shard().
-  StatCounter sync_lock_acquires;    // locks (or read admissions) obtained
-  StatCounter sync_lock_conflicts;   // attempts that saw a competing holder
-  StatCounter sync_lock_steals;      // leases expired and slots stolen
-  StatCounter sync_lock_timeouts;    // acquire retry budgets exhausted
-  StatCounter doorbell_batches;      // chained posts (one doorbell each)
-  StatCounter doorbell_batched_wrs;  // WRs those chains carried
-  // Keyed-index instrumentation (DESIGN.md §13). Lookup-side counters are
-  // incremented from the client threads driving contexts against this node
-  // (overflow shard via client_stat_shard()); repair/fallback counters are
-  // incremented by the worker or engine that served them.
-  StatCounter index_lookups;          // keyed lookups started (Get/Put/Del)
-  StatCounter index_one_sided_hits;   // resolved without an RPC fallback
-  StatCounter index_rpc_fallbacks;    // lookups that fell back to the RPC op
-  StatCounter index_repairs;          // bucket entries rewritten after moves
-  StatCounter index_fenced_entries;   // live entries fenced by an epoch seal
-  StatCounter index_rehomes;          // key ranges re-homed after a failover
+#define CORM_NODE_SHARD_FIELD(name) StatCounter name;
+  CORM_NODE_COUNTERS(CORM_NODE_SHARD_FIELD)
+#undef CORM_NODE_SHARD_FIELD
 };
 
-// Aggregated snapshot of the sharded counters (CormNode::stats()). A read
-// concurrent with increments is a momentary snapshot — same semantics the
-// old shared-atomic counters had, without the shared cachelines.
+// Aggregated snapshot of the sharded counters (CormNode::stats()): a flat
+// struct of uint64_t, one per CORM_NODE_COUNTERS entry, then two fields
+// with no shard behind them. A read concurrent with increments is a
+// momentary snapshot.
 struct NodeStats {
-  uint64_t rpc_allocs = 0;
-  uint64_t rpc_frees = 0;
-  uint64_t rpc_reads = 0;
-  uint64_t rpc_writes = 0;
-  uint64_t rpc_releases = 0;
-  uint64_t corrections_messaging = 0;
-  uint64_t corrections_scan = 0;
-  uint64_t forwarded_ops = 0;
-  uint64_t compaction_runs = 0;
-  uint64_t blocks_compacted = 0;
-  uint64_t objects_moved = 0;
-  uint64_t objects_offset_preserved = 0;
-  uint64_t compaction_slices = 0;
-  uint64_t compaction_phase_transitions = 0;
-  uint64_t compaction_planner_rejections = 0;
-  uint64_t compaction_bytes_copied = 0;
-  uint64_t compaction_timeouts = 0;
-  uint64_t compaction_bg_runs = 0;
-  uint64_t ghosts_released = 0;
-  uint64_t old_pointer_uses = 0;
-  uint64_t id_draw_fallbacks = 0;
-  uint64_t dir_cache_hits = 0;
-  uint64_t dir_cache_misses = 0;
-  uint64_t rpc_batches = 0;
-  uint64_t rpc_polled = 0;
-  uint64_t worker_parks = 0;
-  uint64_t worker_park_wakes = 0;
-  uint64_t worker_park_timeouts = 0;
-  uint64_t repl_ship_records = 0;
-  uint64_t repl_acked_writes = 0;
-  uint64_t repl_degraded_writes = 0;
-  uint64_t repl_quorum_timeouts = 0;
-  uint64_t repl_failovers = 0;
-  uint64_t repl_seals = 0;
-  uint64_t repl_stale_reads = 0;
-  uint64_t repl_anti_entropy_repairs = 0;
-  uint64_t repl_applied_records = 0;
-  uint64_t repl_fenced_records = 0;
-  uint64_t repl_apply_dups = 0;
-  uint64_t repl_apply_orphans = 0;
-  uint64_t sync_lock_acquires = 0;
-  uint64_t sync_lock_conflicts = 0;
-  uint64_t sync_lock_steals = 0;
-  uint64_t sync_lock_timeouts = 0;
-  uint64_t doorbell_batches = 0;
-  uint64_t doorbell_batched_wrs = 0;
-  uint64_t index_lookups = 0;
-  uint64_t index_one_sided_hits = 0;
-  uint64_t index_rpc_fallbacks = 0;
-  uint64_t index_repairs = 0;
-  uint64_t index_fenced_entries = 0;
-  uint64_t index_rehomes = 0;
+#define CORM_NODE_STATS_FIELD(name) uint64_t name = 0;
+  CORM_NODE_COUNTERS(CORM_NODE_STATS_FIELD)
+#undef CORM_NODE_STATS_FIELD
   // Read from the node's PhysicalMemory, not the shards (DESIGN.md §7.6):
   // frame slabs freed by epoch reclamation (a counter), and slabs whose
   // last frame died but whose host bytes still wait for a guard to close
@@ -364,6 +319,11 @@ class CormNode {
 
   // Size class whose payload capacity fits `payload_size`.
   Result<uint32_t> ClassForPayload(uint32_t payload_size) const;
+
+  // True when the object-ID space addresses every slot of a block of this
+  // class, so IDs are unique per block, the ID map is kept and the class
+  // can be compacted (§4.4.1).
+  bool ClassCompactable(uint32_t class_idx) const;
 
   // Number of unreleased ghost virtual ranges (testing / diagnostics).
   size_t vaddr_ghosts_for_testing() const {

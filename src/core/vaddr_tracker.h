@@ -83,17 +83,8 @@ class VaddrTracker {
     return std::nullopt;
   }
 
-  // Ghosts aliasing `old_target` now alias `new_target` (their target was
-  // itself compacted away).
-  void RetargetGhosts(alloc::Block* old_target, alloc::Block* new_target) {
-    LockGuard<RankedSpinLock> lock(mu_);
-    for (auto& [base, e] : entries_) {
-      if (e.is_ghost && e.alias_of == old_target) e.alias_of = new_target;
-    }
-  }
-
-  // Points one known ghost at a new target (O(1) variant used by the
-  // compaction leader, which tracks the affected ghost bases itself).
+  // Points a ghost at a new target (its target was itself compacted away).
+  // The compaction leader tracks the affected ghost bases itself.
   void SetAliasTarget(sim::VAddr ghost_base, alloc::Block* new_target) {
     LockGuard<RankedSpinLock> lock(mu_);
     auto it = entries_.find(ghost_base);

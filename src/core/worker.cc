@@ -220,8 +220,8 @@ void Worker::HandleInbox(WorkerMsg& msg) {
       // Runs between operations on this thread, so the allocator is
       // quiescent; pass the compactability rule so ID-map checks apply
       // exactly to the classes that maintain the map.
-      msg.audit->status =
-          allocator_.Audit([this](uint32_t c) { return ClassCompactable(c); });
+      msg.audit->status = allocator_.Audit(
+          [this](uint32_t c) { return node_->ClassCompactable(c); });
       msg.audit->done.store(true, std::memory_order_release);
       break;
     }
@@ -287,20 +287,11 @@ void Worker::HandleRpc(rdma::RpcMessage* rpc, bool forwarded) {
 // Allocation.
 // ---------------------------------------------------------------------------
 
-bool Worker::ClassCompactable(uint32_t class_idx) const {
-  const int bits = node_->config().object_id_bits;
-  if (bits <= 0) return false;
-  const uint64_t id_space = 1ULL << bits;
-  const uint64_t slots =
-      node_->block_bytes() / node_->classes().ClassSize(class_idx);
-  return slots <= id_space;
-}
-
 Result<uint16_t> Worker::DrawObjectId(alloc::Block* block) {
   const int bits = std::min(node_->config().object_id_bits, 16);
   const uint16_t mask =
       bits >= 16 ? 0xffff : static_cast<uint16_t>((1u << std::max(bits, 0)) - 1);
-  if (!ClassCompactable(block->class_idx())) {
+  if (!node_->ClassCompactable(block->class_idx())) {
     // Compaction is disabled for this class; IDs need not be unique and the
     // metadata map is not maintained (§4.4.1).
     return static_cast<uint16_t>(rng_.Next() & mask);
@@ -339,7 +330,7 @@ Result<GlobalAddr> Worker::AllocObject(uint32_t payload_size, Slice init) {
 
   auto id = DrawObjectId(block);
   CORM_RETURN_NOT_OK(id.status());
-  if (ClassCompactable(block->class_idx())) {
+  if (node_->ClassCompactable(block->class_idx())) {
     CORM_CHECK(block->InsertId(*id, slot));
   }
 
@@ -529,7 +520,6 @@ Result<Worker::Resolved> Worker::ResolveObject(const GlobalAddr& addr) {
   CORM_RETURN_NOT_OK(slot.status());
   r.slot = *slot;
   r.ptr = SlotPtr(base, r.block, r.slot);
-  r.corrected = true;
   return r;
 }
 
@@ -798,7 +788,7 @@ Status Worker::FreeResolved(const Resolved& r) {
     return ClaimFailure(claim, Status::NotFound("double free"));
   }
   const ObjectHeader h = claim.header();
-  if (ClassCompactable(block->class_idx())) block->EraseId(h.obj_id);
+  if (node_->ClassCompactable(block->class_idx())) block->EraseId(h.obj_id);
   const bool empty = allocator_.Free(block, r.slot);
   auto ghost = node_->vaddr_tracker_.OnFree(HomeVaddrOf(h.home_page));
   if (ghost) node_->ReleaseGhostAction(*ghost);

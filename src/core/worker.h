@@ -144,7 +144,6 @@ class Worker {
     // The slot's bytes through `base`, translated once by ResolveObject;
     // valid for the rest of the poll (its FrameEpoch guard).
     uint8_t* ptr = nullptr;
-    bool corrected = false;   // hint was stale; slot found via ID
     bool old_block = false;   // pointer references a ghost base (§3.3)
   };
 
@@ -229,18 +228,14 @@ class Worker {
   // argument at LookupBlockCached's definition).
   CormNode::DirectoryEntry LookupBlockCached(sim::VAddr base);
 
-  // True when blocks of this class can hold more objects than the ID space
-  // addresses (compaction disabled for it, §4.4.1).
-  bool ClassCompactable(uint32_t class_idx) const;
-
   // Destroys an empty block owned by this worker.
   void MaybeReleaseEmptyBlock(alloc::Block* block);
 
   void HandleBulk(BulkRequest* req);
 
   // The compaction engine runs on the leader's thread between RPC batches
-  // and reaches into the worker's private helpers (SlotPtr, inbox,
-  // ClassCompactable) as the leader-side half of the protocol.
+  // and reaches into the worker's private helpers (SlotPtr, inbox) as the
+  // leader-side half of the protocol.
   friend class CompactionEngine;
 
   // RPCs a worker drains from its RPC ring per queue synchronization;

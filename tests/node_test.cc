@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "core/client.h"
@@ -193,6 +194,45 @@ TEST_F(NodeTest, StatsCountOperations) {
   EXPECT_GE(node_.stats().rpc_writes, 1u);
   EXPECT_GE(node_.stats().rpc_reads, 1u);
   EXPECT_GE(node_.stats().rpc_frees, 1u);
+}
+
+// stats() must add every shard's value of every CORM_NODE_COUNTERS entry
+// into the NodeStats field of the same name.
+TEST_F(NodeTest, StatsSumEveryCounter) {
+  // perfbench sums NodeStats as a flat uint64_t array: one per entry plus
+  // the two frame_slabs_* fields.
+#define CORM_COUNT_ONE(name) +1
+  static_assert(sizeof(NodeStats) ==
+                (0 CORM_NODE_COUNTERS(CORM_COUNT_ONE) + 2) * sizeof(uint64_t));
+#undef CORM_COUNT_ONE
+
+  // One served Alloc counts rpc_allocs on a worker's shard.
+  ASSERT_TRUE(ctx_->Alloc(32).ok());
+  const NodeStats before = node_.stats();
+  ASSERT_EQ(before.rpc_allocs, 1u);
+
+  // A distinct amount per entry on the overflow shard: entry i gets i + 1.
+  NodeStatShard& overflow = node_.client_stat_shard();
+  uint64_t amount = 0;
+#define CORM_ADD_DISTINCT(name) overflow.name.Add(++amount);
+  CORM_NODE_COUNTERS(CORM_ADD_DISTINCT)
+#undef CORM_ADD_DISTINCT
+
+  // Idle workers park and wake on their own shards meanwhile, so the three
+  // worker_park* counters can only be bounded from below.
+  const NodeStats after = node_.stats();
+  amount = 0;
+#define CORM_CHECK_SUMMED(name)                                  \
+  ++amount;                                                      \
+  if (std::string_view(#name).starts_with("worker_park")) {      \
+    EXPECT_GE(after.name - before.name, amount) << #name;        \
+  } else {                                                       \
+    EXPECT_EQ(after.name - before.name, amount) << #name;        \
+  }
+  CORM_NODE_COUNTERS(CORM_CHECK_SUMMED)
+#undef CORM_CHECK_SUMMED
+  // Both shards' rpc_allocs: the worker's Alloc plus entry 0's amount.
+  EXPECT_EQ(after.rpc_allocs, 2u);
 }
 
 TEST_F(NodeTest, LocalContextReads) {

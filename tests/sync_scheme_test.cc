@@ -118,8 +118,7 @@ TEST_P(PerSchemeTest, WriteThenDirectReadRoundTrips) {
   } else {
     EXPECT_GE(cs.sync_lock_acquires, 2u);
     EXPECT_EQ(cs.sync_lock_timeouts, 0u);
-    // The same events landed on the node's sharded counters (the
-    // cluster-wide aggregation the EXPERIMENTS schema reports).
+    // The same events landed on the node's sharded counters.
     EXPECT_GE(node.stats().sync_lock_acquires, cs.sync_lock_acquires);
   }
   ASSERT_TRUE(ctx->Free(&*addr).ok());

@@ -70,23 +70,6 @@ TEST(VaddrTrackerTest, RetargetGhosts) {
   EXPECT_EQ(release->alias_of, block_c);
 }
 
-TEST(VaddrTrackerTest, RetargetAllGhostsOfBlock) {
-  VaddrTracker tracker;
-  auto* block_b = reinterpret_cast<alloc::Block*>(0x1);
-  auto* block_c = reinterpret_cast<alloc::Block*>(0x2);
-  tracker.OnAlloc(kA);
-  tracker.OnAlloc(kB);
-  tracker.MarkGhost(kA, 1, block_b);
-  tracker.MarkGhost(kB, 2, block_b);
-  tracker.RetargetGhosts(block_b, block_c);
-  auto r1 = tracker.OnFree(kA);
-  auto r2 = tracker.OnFree(kB);
-  ASSERT_TRUE(r1.has_value());
-  ASSERT_TRUE(r2.has_value());
-  EXPECT_EQ(r1->alias_of, block_c);
-  EXPECT_EQ(r2->alias_of, block_c);
-}
-
 TEST(VaddrTrackerTest, MixedHomesInterleaved) {
   VaddrTracker tracker;
   for (int i = 0; i < 10; ++i) tracker.OnAlloc(kA);

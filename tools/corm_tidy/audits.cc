@@ -105,33 +105,6 @@ bool ParseMarkerBlock(const std::string& text, const std::string& marker,
   return true;
 }
 
-// Fields of `struct Name { ... }` whose declared type is `type_name`.
-std::vector<std::string> StructFieldsOfType(const SourceFile& f,
-                                            const std::string& struct_name,
-                                            const std::string& type_name) {
-  std::vector<std::string> fields;
-  const auto& toks = f.tokens();
-  size_t i = 0;
-  for (; i + 2 < toks.size(); ++i) {
-    if (IsIdent(toks[i], "struct") &&
-        IsIdent(toks[i + 1], struct_name.c_str()) &&
-        IsPunct(toks[i + 2], "{")) {
-      break;
-    }
-  }
-  if (i + 2 >= toks.size()) return fields;
-  int depth = 0;
-  for (i += 2; i < toks.size(); ++i) {
-    if (IsPunct(toks[i], "{")) ++depth;
-    if (IsPunct(toks[i], "}") && --depth == 0) break;
-    if (depth == 1 && IsIdent(toks[i], type_name.c_str()) &&
-        i + 1 < toks.size() && toks[i + 1].kind == Token::Kind::kIdent) {
-      fields.push_back(toks[i + 1].text);
-    }
-  }
-  return fields;
-}
-
 }  // namespace
 
 int RunAudits(const std::string& root, std::ostream& os) {
@@ -217,119 +190,6 @@ int RunAudits(const std::string& root, std::ostream& os) {
   if (failures == 0) {
     os << "  OK   fault sites: " << sites.size()
        << " site(s) exercised and documented\n";
-  }
-
-  // --- Sharded-counter exhaustiveness. ------------------------------------
-  const int fault_failures = failures;
-  const SourceFile* node_h = nullptr;
-  const SourceFile* node_cc = nullptr;
-  for (const auto& f : src_files) {
-    const auto& p = f->path();
-    auto ends_with = [&](const char* suffix) {
-      const size_t n = std::string(suffix).size();
-      return p.size() >= n && p.compare(p.size() - n, n, suffix) == 0;
-    };
-    if (ends_with("corm_node.h")) node_h = f.get();
-    if (ends_with("corm_node.cc")) node_cc = f.get();
-  }
-  if (node_h == nullptr || node_cc == nullptr) {
-    os << "FATAL: corm_node.h/corm_node.cc not found under src/\n";
-    return 2;
-  }
-  const auto counters =
-      StructFieldsOfType(*node_h, "NodeStatShard", "StatCounter");
-  if (counters.empty()) {
-    os << "FATAL: no StatCounter fields in NodeStatShard (" << node_h->path()
-       << ")\n";
-    return 2;
-  }
-  const auto snapshot_vec =
-      StructFieldsOfType(*node_h, "NodeStats", "uint64_t");
-  const std::set<std::string> snapshot(snapshot_vec.begin(),
-                                       snapshot_vec.end());
-
-  // Aggregated in stats(): `out.N += s.N` pairs in corm_node.cc.
-  std::set<std::string> aggregated;
-  {
-    const auto& toks = node_cc->tokens();
-    for (size_t i = 0; i + 6 < toks.size(); ++i) {
-      if (IsIdent(toks[i], "out") && IsPunct(toks[i + 1], ".") &&
-          toks[i + 2].kind == Token::Kind::kIdent &&
-          IsPunct(toks[i + 3], "+=") && IsIdent(toks[i + 4], "s") &&
-          IsPunct(toks[i + 5], ".") &&
-          toks[i + 6].kind == Token::Kind::kIdent &&
-          toks[i + 2].text == toks[i + 6].text) {
-        aggregated.insert(toks[i + 2].text);
-      }
-    }
-  }
-  // Gauges read straight into the snapshot: `out.N = ...` in corm_node.cc
-  // (NodeStats fields not backed by a shard, e.g. PhysicalMemory's
-  // retired-slab gauge).
-  std::set<std::string> assigned;
-  {
-    const auto& toks = node_cc->tokens();
-    for (size_t i = 0; i + 3 < toks.size(); ++i) {
-      if (IsIdent(toks[i], "out") && IsPunct(toks[i + 1], ".") &&
-          toks[i + 2].kind == Token::Kind::kIdent &&
-          IsPunct(toks[i + 3], "=")) {
-        assigned.insert(toks[i + 2].text);
-      }
-    }
-  }
-
-  std::string experiments;
-  if (!ReadFile(rp / "EXPERIMENTS.md", &experiments)) {
-    os << "FATAL: cannot read EXPERIMENTS.md under " << root << "\n";
-    return 2;
-  }
-  std::set<std::string> schema;
-  if (!ParseMarkerBlock(experiments, "stats-schema", &schema)) {
-    os << "FATAL: EXPERIMENTS.md has no stats-schema markers\n";
-    return 2;
-  }
-
-  for (const std::string& c : counters) {
-    if (snapshot.count(c) == 0) {
-      fail("NodeStatShard counter `" + c +
-           "` has no NodeStats snapshot field");
-    }
-    if (aggregated.count(c) == 0) {
-      fail("NodeStatShard counter `" + c +
-           "` is not summed in CormNode::stats() (corm_node.cc)");
-    }
-    if (schema.count(c) == 0) {
-      fail("NodeStatShard counter `" + c +
-           "` is missing from the EXPERIMENTS.md stats schema");
-    }
-  }
-  const std::set<std::string> counter_set(counters.begin(), counters.end());
-  size_t gauges = 0;
-  for (const std::string& field : snapshot_vec) {
-    if (counter_set.count(field) != 0) continue;
-    ++gauges;
-    if (assigned.count(field) == 0) {
-      fail("NodeStats field `" + field +
-           "` is neither a NodeStatShard counter nor read in "
-           "CormNode::stats() (corm_node.cc)");
-    }
-    if (schema.count(field) == 0) {
-      fail("NodeStats gauge `" + field +
-           "` is missing from the EXPERIMENTS.md stats schema");
-    }
-  }
-  for (const std::string& entry : schema) {
-    const bool gauge = snapshot.count(entry) != 0 && assigned.count(entry) != 0;
-    if (counter_set.count(entry) == 0 && !gauge) {
-      fail("EXPERIMENTS.md stats schema lists `" + entry +
-           "`, which is not a NodeStatShard counter or a NodeStats gauge "
-           "read in CormNode::stats()");
-    }
-  }
-  if (failures == fault_failures) {
-    os << "  OK   sharded counters: " << counters.size()
-       << " counter(s) snapshotted, aggregated, and documented; " << gauges
-       << " gauge(s) read and documented\n";
   }
 
   return failures == 0 ? 0 : 1;

@@ -40,7 +40,7 @@ struct Options {
   bool list_hotpath = false;
   bool quiet = false;
   bool no_interproc = false;          // PR-6 per-function analysis only
-  bool audit = false;                 // project contract audits, then exit
+  bool audit = false;                 // fault-site audit, then exit
   bool wire_abi = false;              // print wire-ABI JSON, then exit
   bool dump_lock_graph = false;       // print lock-order graph, then exit
 };
@@ -55,8 +55,8 @@ int Usage(std::ostream& os, int code) {
         "                    contract marker and exit\n"
         "  --no-interproc    disable the whole-program call-graph analysis\n"
         "                    (per-function checks only, as before v2)\n"
-        "  --audit           run the project contract audits (fault sites,\n"
-        "                    sharded counters) against --root and exit\n"
+        "  --audit           run the fault-site contract audit against\n"
+        "                    --root and exit\n"
         "  --root <dir>      repo root for --audit (default: .)\n"
         "  --wire-abi        print the wire-ABI layout JSON for the loaded\n"
         "                    files and exit (diffed against the committed\n"
@@ -186,8 +186,8 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  // The contract audits collect their own file sets (src/ AND tests/ —
-  // "exercised by a test" needs the tests) and bypass the lint pipeline.
+  // The contract audit collects its own file sets (src/ AND tests/ —
+  // "exercised by a test" needs the tests) and bypasses the lint pipeline.
   if (opt.audit) return RunAudits(opt.audit_root, std::cout);
 
   std::vector<std::string> paths;
